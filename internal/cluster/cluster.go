@@ -20,6 +20,10 @@
 //     Concatenate, sort by the same order, cut at K: bit-identical to
 //     a single node ranking the union catalog.
 //
+// A top-K rank runs in two rounds so that each shard's estimator
+// cascade prunes against a bound on the global K-th MI instead of its
+// own, much lower, local one; see rankTwoRound.
+//
 // Failure handling is degraded-results, not fail-stop: a scattered
 // query that loses shards still answers from the shards that responded,
 // with "partial": true and one error per lost shard. Only when every
@@ -203,12 +207,20 @@ type Coordinator struct {
 	// disabled); see resultcache.go.
 	results *clusterCache
 
-	rankRequests  atomic.Int64
-	rankPartial   atomic.Int64
-	rankFailures  atomic.Int64
-	batchRequests atomic.Int64
-	batchPartial  atomic.Int64
-	batchFailures atomic.Int64
+	// betweenRounds, when set, runs between the two rounds of a
+	// two-round rank; tests use it to race a write or a shard failure
+	// against the certificate.
+	betweenRounds func()
+
+	rankRequests       atomic.Int64
+	rankPartial        atomic.Int64
+	rankFailures       atomic.Int64
+	twoRounds          atomic.Int64
+	twoRoundFallbacks  atomic.Int64
+	duplicateNamesSeen atomic.Int64
+	batchRequests      atomic.Int64
+	batchPartial       atomic.Int64
+	batchFailures      atomic.Int64
 }
 
 // New builds a coordinator over the given shard base URLs (e.g.
@@ -311,24 +323,37 @@ func (c *Coordinator) shutdownContext() (context.Context, context.CancelFunc) {
 // scatter issues the same request to every shard concurrently and
 // returns one result per shard, in shard order.
 func (c *Coordinator) scatter(ctx context.Context, method, pathAndQuery string, body []byte, contentType string) []shardResult {
-	return c.scatterRevalidating(ctx, method, pathAndQuery, body, contentType, nil)
+	return c.scatterWith(ctx, method, pathAndQuery, body, contentType, scatterOpts{})
 }
 
-// scatterRevalidating is scatter with a per-shard If-None-Match value
-// (inm[i] for shard i; empty sends none), so shards holding unchanged
-// answers reply 304 without a body.
-func (c *Coordinator) scatterRevalidating(ctx context.Context, method, pathAndQuery string, body []byte, contentType string, inm []string) []shardResult {
+// scatterOpts tunes one scatter.
+type scatterOpts struct {
+	// inm[i] is sent to shard i as If-None-Match (empty sends none), so
+	// a shard holding an unchanged answer replies 304 without a body.
+	inm []string
+	// skip[i] leaves shard i out; its result stays the zero value.
+	skip []bool
+	// noStore sends Cache-Control: no-store.
+	noStore bool
+}
+
+// scatterWith is scatter with per-shard revalidation, a shard subset
+// and no-store.
+func (c *Coordinator) scatterWith(ctx context.Context, method, pathAndQuery string, body []byte, contentType string, o scatterOpts) []shardResult {
 	out := make([]shardResult, len(c.shards))
 	var wg sync.WaitGroup
 	for i, sh := range c.shards {
+		if i < len(o.skip) && o.skip[i] {
+			continue
+		}
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
 			tag := ""
-			if i < len(inm) {
-				tag = inm[i]
+			if i < len(o.inm) {
+				tag = o.inm[i]
 			}
-			out[i] = sh.do(ctx, method, pathAndQuery, body, contentType, tag, c.opt)
+			out[i] = sh.do(ctx, method, pathAndQuery, body, contentType, tag, o.noStore, c.opt)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -357,12 +382,21 @@ type ShardStats struct {
 
 // CoordinatorStats are the coordinator's own counters.
 type CoordinatorStats struct {
-	RankRequests  int64 `json:"rank_requests"`
-	RankPartial   int64 `json:"rank_partial"`
-	RankFailures  int64 `json:"rank_failures"`
-	BatchRequests int64 `json:"batch_requests"`
-	BatchPartial  int64 `json:"batch_partial"`
-	BatchFailures int64 `json:"batch_failures"`
+	RankRequests int64 `json:"rank_requests"`
+	RankPartial  int64 `json:"rank_partial"`
+	RankFailures int64 `json:"rank_failures"`
+	// RankTwoRound counts rank requests answered by the two-round
+	// threshold scatter; RankTwoRoundFallbacks counts those that tried
+	// it and fell back to one round (a lost shard, fewer than top rows,
+	// a duplicated name, or a first-round K-th MI of 0).
+	RankTwoRound          int64 `json:"rank_two_round"`
+	RankTwoRoundFallbacks int64 `json:"rank_two_round_fallbacks"`
+	// RankDuplicateNames counts names that came back from two shards in
+	// a served rank answer; each is also reported in shard_errors.
+	RankDuplicateNames int64 `json:"rank_duplicate_names"`
+	BatchRequests      int64 `json:"batch_requests"`
+	BatchPartial       int64 `json:"batch_partial"`
+	BatchFailures      int64 `json:"batch_failures"`
 	// The shard-ETag result cache: shard 304s whose cached decoded
 	// answers fed a merge, merged bodies replayed without re-merging,
 	// requests coalesced behind an identical in-flight scatter, LRU
@@ -390,19 +424,22 @@ func (c *Coordinator) Stats() StatsResponse {
 	resp := StatsResponse{
 		Shards: make([]ShardStats, len(c.shards)),
 		Coordinator: CoordinatorStats{
-			RankRequests:      c.rankRequests.Load(),
-			RankPartial:       c.rankPartial.Load(),
-			RankFailures:      c.rankFailures.Load(),
-			BatchRequests:     c.batchRequests.Load(),
-			BatchPartial:      c.batchPartial.Load(),
-			BatchFailures:     c.batchFailures.Load(),
-			ResultShardHits:   rc.ShardHits,
-			ResultMergedHits:  rc.MergedHits,
-			ResultCoalesced:   rc.Coalesced,
-			ResultEvictions:   rc.Evictions,
-			ResultNotModified: rc.NotModified,
-			ResultBytes:       rc.Bytes,
-			ResultEntries:     rc.Entries,
+			RankRequests:          c.rankRequests.Load(),
+			RankPartial:           c.rankPartial.Load(),
+			RankFailures:          c.rankFailures.Load(),
+			RankTwoRound:          c.twoRounds.Load(),
+			RankTwoRoundFallbacks: c.twoRoundFallbacks.Load(),
+			RankDuplicateNames:    c.duplicateNamesSeen.Load(),
+			BatchRequests:         c.batchRequests.Load(),
+			BatchPartial:          c.batchPartial.Load(),
+			BatchFailures:         c.batchFailures.Load(),
+			ResultShardHits:       rc.ShardHits,
+			ResultMergedHits:      rc.MergedHits,
+			ResultCoalesced:       rc.Coalesced,
+			ResultEvictions:       rc.Evictions,
+			ResultNotModified:     rc.NotModified,
+			ResultBytes:           rc.Bytes,
+			ResultEntries:         rc.Entries,
 		},
 	}
 	for i, sh := range c.shards {
@@ -431,7 +468,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			res := sh.doOnce(ctx, http.MethodGet, "/healthz", nil, "", "", c.opt)
+			res := sh.doOnce(ctx, http.MethodGet, "/healthz", nil, "", "", false, c.opt)
 			health[i] = shardHealth{URL: sh.url, OK: res.err == nil && res.status == http.StatusOK}
 		}(i, sh)
 	}

@@ -14,6 +14,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"misketch/internal/server"
+	"misketch/internal/store"
 )
 
 // Request aliases: a coordinator accepts exactly the single-node
@@ -75,32 +77,204 @@ func (c *Coordinator) prepRank(ctx context.Context, body []byte) (*RankRequest, 
 	return req, canon, requestDigest("rank", canon), nil
 }
 
-// rankScattered runs the cached scatter-merge: revalidate cached
-// per-shard answers with If-None-Match, decode only the shards that
-// changed, and replay the merged body outright when nothing did. It
+// rankScattered answers one rank request, in two rounds when it can
+// (see rankTwoRound) and otherwise in one cached scatter-merge. It
 // returns the merged response, the coordinator's ETag ("" when the
-// answer is partial or a shard sent no ETag), and the encoded body.
+// answer is partial, lists duplicate names, or a shard sent no ETag),
+// and the encoded body. Only this function and finish move the
+// per-request rank counters, so each client request counts once however
+// many rounds it took.
 func (c *Coordinator) rankScattered(ctx context.Context, req *RankRequest, canon []byte, digest [sha256.Size]byte) (*RankResponse, string, []byte, error) {
 	started := time.Now()
-	inm := make([]string, len(c.shards))
-	cached := make([]*ccEntry, len(c.shards))
-	if c.results != nil {
-		for i := range c.shards {
+	if req.Top > 0 && len(c.shards) >= 2 && !req.NoCascade && req.MinMI == 0 {
+		if r := c.rankTwoRound(ctx, req); r != nil {
+			c.twoRounds.Add(1)
+			return r.finish(c, started)
+		}
+		c.twoRoundFallbacks.Add(1)
+	}
+	return c.gatherRank(ctx, canon, digest, req.Top, true, nil).finish(c, started)
+}
+
+// rankTwoRound is the threshold scatter, after TPUT (Cao & Wang, PODC
+// 2004). A shard whose local K-th MI sits below the cascade margin
+// cannot prune on its own and scores every candidate exactly; a bound
+// on the global K-th MI lets it prune as a single node would.
+//
+// Round 1 asks every shard for its top ⌈K/S⌉. The union holds at
+// least K distinct candidates, so its K-th best MI, τ, is a lower bound
+// on the global K-th MI. Round 2 asks for the top K with min_mi τ. If
+// every shard answered and the merge holds at least K rows, those rows
+// are the exact top K: every row a one-round query would have returned
+// above them has MI ≥ τ too, so no shard dropped it. That holds for any
+// τ, so a write between the rounds cannot make the answer wrong, only
+// too short. A short answer, a lost shard, a name on two shards, or a
+// τ no greater than the cascade margin (round 2 could prune nothing a
+// single round does not) returns nil, and the caller falls back to one
+// round, whose degraded semantics are unchanged.
+//
+// A shard whose round-1 answer ends below τ, or holds fewer than ⌈K/S⌉
+// rows, has already returned every row it has at or above τ: its
+// round-2 answer is known and it is not asked again.
+//
+// Round 1 is not cached: its top ⌈K/S⌉ answers are not what any client
+// asks for. Round 2 revalidates and caches exactly like one round; its
+// request digest, τ included, keys the cache and the coordinator ETag,
+// and a shard not asked again enters the ETag with its round-1 tag.
+func (c *Coordinator) rankTwoRound(ctx context.Context, req *RankRequest) *rankRound {
+	k, s := req.Top, len(c.shards)
+	probe := *req
+	probe.Top = (k + s - 1) / s
+	canon, err := json.Marshal(&probe)
+	if err != nil {
+		return nil
+	}
+	first := c.gatherRank(ctx, canon, requestDigest("rank", canon), k, false, nil)
+	if !first.complete() || first.rows < k {
+		return nil
+	}
+	tau := first.resp.Ranked[k-1].MI
+	if tau <= store.EffectiveCascadeMargin(req.CascadeMargin) {
+		return nil
+	}
+	if c.betweenRounds != nil {
+		c.betweenRounds()
+	}
+	known := make([]*knownAnswer, s)
+	for i, a := range first.answers {
+		if n := len(a.Ranked); n < probe.Top || a.Ranked[n-1].MI < tau {
+			known[i] = &knownAnswer{resp: atOrAbove(a, tau), etag: first.tags[i]}
+		}
+	}
+	bounded := *req
+	bounded.MinMI = tau
+	if canon, err = json.Marshal(&bounded); err != nil {
+		return nil
+	}
+	second := c.gatherRank(ctx, canon, requestDigest("rank", canon), k, true, known)
+	if !second.complete() || second.rows < k {
+		return nil
+	}
+	if second.replay == nil {
+		// Round 1 compiled the probes; report what it saw.
+		second.resp.ProbeCached = first.resp.ProbeCached
+	}
+	return second
+}
+
+// knownAnswer is a shard's round-2 answer derived from round 1.
+type knownAnswer struct {
+	resp *server.RankResponse
+	etag string // the round-1 ETag, "" if the shard sent none
+}
+
+// atOrAbove is a shard answer cut to its rows with MI ≥ tau.
+func atOrAbove(a *server.RankResponse, tau float64) *server.RankResponse {
+	cut := *a
+	n := sort.Search(len(a.Ranked), func(i int) bool { return a.Ranked[i].MI < tau })
+	cut.Ranked = a.Ranked[:n]
+	return &cut
+}
+
+// rankRound is one scatter-merge of a rank request.
+type rankRound struct {
+	digest [sha256.Size]byte
+	// resp is the merge, cut at top. Its ShardErrors list the shards
+	// that did not answer, then one entry per duplicated name.
+	resp *RankResponse
+	// replay is the cached merged entry for exactly these shard answers,
+	// when every asked shard revalidated; resp is nil then.
+	replay *ccEntry
+	// answers and tags are per shard; a shard that did not answer has a
+	// nil answer.
+	answers  []*server.RankResponse
+	tags     []string
+	answered int
+	// rows counts the merged rows before the top cut.
+	rows       int
+	duplicates int
+}
+
+// complete reports whether every shard answered and no name came back
+// from two shards.
+func (r *rankRound) complete() bool {
+	return r.answered == len(r.tags) && r.duplicates == 0
+}
+
+// gatherRank scatters one canonical rank body to the shards and merges
+// the answers. known[i], when set, stands in for shard i's answer and
+// that shard is not asked. With revalidate set it sends each shard the
+// ETag of its cached answer, caches fresh answers, and finds the cached
+// merge when every asked shard revalidated; without it nothing is read
+// from or written to the coordinator cache. Every rank scatter sends
+// no-store: the coordinator keeps each shard's decoded answer itself,
+// and a shard revalidates an ETag without its own cache.
+func (c *Coordinator) gatherRank(ctx context.Context, canon []byte, digest [sha256.Size]byte, top int, revalidate bool, known []*knownAnswer) *rankRound {
+	n := len(c.shards)
+	round := &rankRound{digest: digest, answers: make([]*server.RankResponse, n), tags: make([]string, n)}
+	o := scatterOpts{inm: make([]string, n), skip: make([]bool, n), noStore: true}
+	cached := make([]*ccEntry, n)
+	for i := range c.shards {
+		if i < len(known) && known[i] != nil {
+			o.skip[i] = true
+			round.answers[i] = known[i].resp
+			if known[i].etag != "" {
+				round.tags[i] = "round1:" + known[i].etag
+			}
+			continue
+		}
+		if revalidate && c.results != nil {
 			if ent := c.results.get(ccKey{shard: i, digest: digest}); ent != nil {
 				cached[i] = ent
-				inm[i] = ent.etag
+				o.inm[i] = ent.etag
 			}
 		}
 	}
-	results := c.scatterRevalidating(ctx, http.MethodPost, "/v1/rank", canon, "application/json", inm)
+	results := c.scatterWith(ctx, http.MethodPost, "/v1/rank", canon, "application/json", o)
 
 	resp := &RankResponse{RankResponse: server.RankResponse{Ranked: []server.RankedResult{}, ProbeCached: true}}
-	skipped := map[string]bool{}
-	tags := make([]string, len(results))
-	answered := 0
 	allRevalidated := true
-	merge := func(sr *server.RankResponse) {
-		answered++
+	for i, r := range results {
+		switch {
+		case o.skip[i]:
+		case r.err == nil && r.status == http.StatusNotModified && cached[i] != nil:
+			// The shard vouched that its cached answer still holds:
+			// reuse the decoded heap, no body crossed the wire.
+			c.results.shardHits.Add(1)
+			round.tags[i] = cached[i].etag
+			round.answers[i] = cached[i].decoded.(*server.RankResponse)
+		case r.err == nil && r.status == http.StatusOK:
+			allRevalidated = false
+			var sr server.RankResponse
+			if err := json.Unmarshal(r.body, &sr); err != nil {
+				resp.ShardErrors = append(resp.ShardErrors, ShardError{Shard: r.shard.url, Error: "undecodable response: " + err.Error()})
+				continue
+			}
+			round.tags[i] = r.etag
+			if revalidate && c.results != nil && r.etag != "" {
+				c.results.add(&ccEntry{
+					key:     ccKey{shard: i, digest: digest},
+					etag:    r.etag,
+					decoded: &sr,
+					size:    int64(len(r.body)) + ccEntryOverhead,
+				})
+			}
+			round.answers[i] = &sr
+		default:
+			allRevalidated = false
+			resp.ShardErrors = append(resp.ShardErrors, r.shardError())
+		}
+	}
+	dups := c.duplicateNames(round.answers)
+	round.duplicates = len(dups)
+	resp.ShardErrors = append(resp.ShardErrors, dups...)
+
+	skipped := map[string]bool{}
+	for _, sr := range round.answers {
+		if sr == nil {
+			continue
+		}
+		round.answered++
 		resp.Ranked = append(resp.Ranked, sr.Ranked...)
 		for _, name := range sr.Skipped {
 			skipped[name] = true
@@ -110,70 +284,88 @@ func (c *Coordinator) rankScattered(ctx context.Context, req *RankRequest, canon
 			resp.Workers = sr.Workers
 		}
 	}
-	for i, r := range results {
-		switch {
-		case r.err == nil && r.status == http.StatusNotModified && cached[i] != nil:
-			// The shard vouched that its cached answer still holds:
-			// reuse the decoded heap, no body crossed the wire.
-			c.results.shardHits.Add(1)
-			tags[i] = cached[i].etag
-			merge(cached[i].decoded.(*server.RankResponse))
-		case r.err == nil && r.status == http.StatusOK:
-			allRevalidated = false
-			var sr server.RankResponse
-			if err := json.Unmarshal(r.body, &sr); err != nil {
-				resp.ShardErrors = append(resp.ShardErrors, ShardError{Shard: r.shard.url, Error: "undecodable response: " + err.Error()})
-				continue
-			}
-			tags[i] = r.etag
-			if c.results != nil && r.etag != "" {
-				c.results.add(&ccEntry{
-					key:     ccKey{shard: i, digest: digest},
-					etag:    r.etag,
-					decoded: &sr,
-					size:    int64(len(r.body)) + ccEntryOverhead,
-				})
-			}
-			merge(&sr)
-		default:
-			allRevalidated = false
-			resp.ShardErrors = append(resp.ShardErrors, r.shardError())
+	if revalidate && allRevalidated && round.complete() && allTagged(round.tags) && c.results != nil {
+		etag := coordEtagFor(digest, round.tags)
+		if ent := c.results.get(ccKey{shard: mergedShard, digest: digest}); ent != nil && ent.etag == etag && sameTags(ent.shardTags, round.tags) {
+			// Every asked shard revalidated and the merge for exactly
+			// this set of shard answers is cached: replay its bytes.
+			c.results.mergedHits.Add(1)
+			round.replay = ent
+			round.rows = len(ent.decoded.(*RankResponse).Ranked)
+			return round
 		}
 	}
-	if answered == 0 {
+	round.rows = len(resp.Ranked)
+	mergeRanked(resp.Ranked, top, &resp.Ranked)
+	resp.Skipped = sortedNames(skipped)
+	round.resp = resp
+	return round
+}
+
+// duplicateNames finds names returned by more than one shard. Shards
+// are meant to hold disjoint catalogs; a name on two of them would be
+// ranked twice, and the two-round certificate counts rows as distinct
+// candidates. Each duplicated name yields one ShardError naming both
+// shards.
+func (c *Coordinator) duplicateNames(answers []*server.RankResponse) []ShardError {
+	owner := map[string]int{}
+	var dups []ShardError
+	for i, sr := range answers {
+		if sr == nil {
+			continue
+		}
+		for _, row := range sr.Ranked {
+			j, seen := owner[row.Name]
+			if !seen {
+				owner[row.Name] = i
+				continue
+			}
+			if j < 0 {
+				continue // already reported
+			}
+			owner[row.Name] = -1
+			dups = append(dups, ShardError{
+				Shard: c.shards[i].url,
+				Error: fmt.Sprintf("sketch %q is on both %s and %s; shards must hold disjoint catalogs", row.Name, c.shards[j].url, c.shards[i].url),
+			})
+		}
+	}
+	return dups
+}
+
+// finish turns a gathered round into the client's answer: it counts the
+// request's outcome, derives the coordinator ETag, and caches the merge.
+// A partial answer, or one with duplicated names, carries no ETag and is
+// never cached.
+func (r *rankRound) finish(c *Coordinator, started time.Time) (*RankResponse, string, []byte, error) {
+	if r.replay != nil {
+		return r.replay.decoded.(*RankResponse), r.replay.etag, r.replay.body, nil
+	}
+	resp := r.resp
+	if r.answered == 0 {
 		c.rankFailures.Add(1)
 		return nil, "", nil, allShardsFailed("rank", resp.ShardErrors)
 	}
-	resp.Partial = answered < len(results)
+	resp.Partial = r.answered < len(r.tags)
 	if resp.Partial {
 		c.rankPartial.Add(1)
-	} else {
-		resp.ShardErrors = nil
 	}
-
+	if r.duplicates > 0 {
+		c.duplicateNamesSeen.Add(int64(r.duplicates))
+	}
 	etag := ""
-	if !resp.Partial && allTagged(tags) {
-		etag = coordEtagFor(digest, tags)
-		if allRevalidated && c.results != nil {
-			if ent := c.results.get(ccKey{shard: mergedShard, digest: digest}); ent != nil && ent.etag == etag && sameTags(ent.shardTags, tags) {
-				// Every shard revalidated and the merge for exactly this
-				// set of shard answers is cached: replay its bytes.
-				c.results.mergedHits.Add(1)
-				return ent.decoded.(*RankResponse), etag, ent.body, nil
-			}
-		}
+	if r.complete() && allTagged(r.tags) {
+		etag = coordEtagFor(r.digest, r.tags)
 	}
-	mergeRanked(resp.Ranked, req.Top, &resp.Ranked)
-	resp.Skipped = sortedNames(skipped)
 	resp.ElapsedNS = time.Since(started).Nanoseconds()
 	encoded := encodeJSON(resp)
 	if etag != "" && c.results != nil {
 		c.results.add(&ccEntry{
-			key:       ccKey{shard: mergedShard, digest: digest},
+			key:       ccKey{shard: mergedShard, digest: r.digest},
 			etag:      etag,
 			decoded:   resp,
 			body:      encoded,
-			shardTags: tags,
+			shardTags: r.tags,
 			size:      int64(len(encoded)) + ccEntryOverhead,
 		})
 	}
@@ -245,7 +437,7 @@ func (c *Coordinator) rankBatchScattered(ctx context.Context, req *RankBatchRequ
 			}
 		}
 	}
-	results := c.scatterRevalidating(ctx, http.MethodPost, "/v1/rank/batch", canon, "application/json", inm)
+	results := c.scatterWith(ctx, http.MethodPost, "/v1/rank/batch", canon, "application/json", scatterOpts{inm: inm})
 
 	resp := &RankBatchResponse{RankBatchResponse: server.RankBatchResponse{}}
 	// Queries merge positionally: every shard answers in request order,
@@ -405,7 +597,8 @@ func allShardsFailed(what string, serrs []ShardError) *ClusterError {
 // store's total order and cuts at top (0 keeps all). Shards are
 // disjoint, so names are unique and (MI desc, name asc) is total —
 // the merge is deterministic and bit-identical to a single-node rank
-// over the union catalog.
+// over the union catalog. A rank answer that breaks disjointness is
+// reported by duplicateNames.
 func mergeRanked(in []server.RankedResult, top int, out *[]server.RankedResult) {
 	sort.Slice(in, func(i, j int) bool {
 		if in[i].MI != in[j].MI {

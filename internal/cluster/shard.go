@@ -79,15 +79,17 @@ func (r shardResult) transient() bool {
 // exponential backoff up to the Options budget. The context bounds the
 // whole exchange including backoff waits; each attempt additionally
 // gets its own RequestTimeout. A non-empty ifNoneMatch is sent as the
-// If-None-Match header so an unchanged shard can answer 304 bodyless.
-func (s *shard) do(ctx context.Context, method, pathAndQuery string, body []byte, contentType, ifNoneMatch string, opt Options) shardResult {
+// If-None-Match header so an unchanged shard can answer 304 bodyless;
+// noStore sends Cache-Control: no-store so the shard answers without
+// keeping the body in its own result cache.
+func (s *shard) do(ctx context.Context, method, pathAndQuery string, body []byte, contentType, ifNoneMatch string, noStore bool, opt Options) shardResult {
 	s.requests.Add(1)
 	started := time.Now()
 	backoff := timeout(opt.RetryBackoff, DefaultRetryBackoff)
 	attempts := retryBudget(opt.Retries) + 1
 	var res shardResult
 	for attempt := 0; ; attempt++ {
-		res = s.doOnce(ctx, method, pathAndQuery, body, contentType, ifNoneMatch, opt)
+		res = s.doOnce(ctx, method, pathAndQuery, body, contentType, ifNoneMatch, noStore, opt)
 		if !res.transient() || attempt+1 >= attempts || ctx.Err() != nil {
 			break
 		}
@@ -115,7 +117,7 @@ func (s *shard) do(ctx context.Context, method, pathAndQuery string, body []byte
 
 // doOnce is a single attempt: one request, one response, body fully
 // read so the connection returns to the pool.
-func (s *shard) doOnce(ctx context.Context, method, pathAndQuery string, body []byte, contentType, ifNoneMatch string, opt Options) shardResult {
+func (s *shard) doOnce(ctx context.Context, method, pathAndQuery string, body []byte, contentType, ifNoneMatch string, noStore bool, opt Options) shardResult {
 	if d := timeout(opt.RequestTimeout, DefaultRequestTimeout); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
@@ -134,6 +136,9 @@ func (s *shard) doOnce(ctx context.Context, method, pathAndQuery string, body []
 	}
 	if ifNoneMatch != "" {
 		req.Header.Set("If-None-Match", ifNoneMatch)
+	}
+	if noStore {
+		req.Header.Set("Cache-Control", "no-store")
 	}
 	resp, err := s.client.Do(req)
 	if err != nil {

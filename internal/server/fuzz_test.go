@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -75,16 +76,34 @@ func FuzzRankRequest(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 	f.Add([]byte(`{"train":1e999}`))
+	f.Add([]byte(`{"train":"fuzz/c","top":5,"min_mi":0.5}`))
+	f.Add([]byte(`{"train":"fuzz/c","top":5,"min_mi":0}`))
+	f.Add([]byte(`{"train":"fuzz/c","top":5,"min_mi":-0.0}`))
+	f.Add([]byte(`{"train":"fuzz/c","min_mi":-1}`))
+	f.Add([]byte(`{"train":"fuzz/c","min_mi":1e999}`))
+	f.Add([]byte(`{"train":"fuzz/c","min_mi":"high"}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		fuzzPost(t, srv, "/v1/rank", body)
+		status := fuzzPost(t, srv, "/v1/rank", body)
+		// A negative floor is a client error whatever else the body
+		// holds; an accepted request always carries a usable floor.
+		var floor struct {
+			MinMI *float64 `json:"min_mi"`
+		}
+		if json.Unmarshal(body, &floor) == nil && floor.MinMI != nil && *floor.MinMI < 0 && status != http.StatusBadRequest {
+			t.Fatalf("min_mi %v answered %d, want 400", *floor.MinMI, status)
+		}
+		if req, err := DecodeRankRequest(body); err == nil && (req.MinMI < 0 || math.IsInf(req.MinMI, 0) || math.Signbit(req.MinMI)) {
+			t.Fatalf("decoded an unusable min_mi %v from %q", req.MinMI, body)
+		}
 	})
 }
 
 // fuzzPost drives one handler invocation and asserts the shared
 // contract: no panic, no 5xx for client-supplied garbage, and every
-// response is a JSON object (with an "error" field on non-200s).
-func fuzzPost(t *testing.T, srv *Server, path string, body []byte) {
+// response is a JSON object (with an "error" field on non-200s). It
+// returns the status.
+func fuzzPost(t *testing.T, srv *Server, path string, body []byte) int {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -104,6 +123,7 @@ func fuzzPost(t *testing.T, srv *Server, path string, body []byte) {
 			t.Fatalf("error response without error field: %v", v)
 		}
 	}
+	return resp.StatusCode
 }
 
 // FuzzRankBatchRequest throws arbitrary bytes at the /v1/rank/batch
@@ -160,12 +180,17 @@ func FuzzRankBatchRequest(f *testing.F) {
 // in either direction is a correctness bug: the cache would silently
 // serve one query's answer to a different query.
 func FuzzCanonicalization(f *testing.F) {
-	f.Add("bench/", 100, true, 4, 10, 2, false, 0.5, 4, uint64(1))
-	f.Add("", -3, false, 0, 0, 0, true, 0.0, 8, uint64(2))
-	f.Add("p", 7, true, 1, 1, 99, false, -2.0, 3, uint64(3))
-	f.Add("corpus/", 50, true, 6, 25, 1, false, 1e308, 1, uint64(4))
+	srv := fuzzHandler(f)
+	f.Add("bench/", 100, true, 4, 10, 2, false, 0.5, 4, uint64(1), 0.0)
+	f.Add("", -3, false, 0, 0, 0, true, 0.0, 8, uint64(2), 0.0)
+	f.Add("p", 7, true, 1, 1, 99, false, -2.0, 3, uint64(3), 0.0)
+	f.Add("corpus/", 50, true, 6, 25, 1, false, 1e308, 1, uint64(4), 0.0)
+	f.Add("bench/", 100, true, 4, 10, 2, false, 0.0, 4, uint64(5), 2.7)
+	f.Add("bench/", 100, true, 4, 10, 2, false, 0.0, 4, uint64(6), math.Copysign(0, -1))
+	f.Add("", 0, false, 0, 3, 0, false, 0.0, 2, uint64(7), -1.0)
+	f.Add("", 0, false, 0, 3, 0, false, 0.0, 2, uint64(8), 1e308)
 	f.Fuzz(func(t *testing.T, prefix string, minJoin int, hasMinJoin bool,
-		k, top, workers int, noCascade bool, margin float64, maxWorkers int, seed uint64) {
+		k, top, workers int, noCascade bool, margin float64, maxWorkers int, seed uint64, minMI float64) {
 		if maxWorkers < 1 {
 			maxWorkers = 1
 		}
@@ -182,6 +207,31 @@ func FuzzCanonicalization(f *testing.F) {
 		train := probeDigest(sha256.Sum256([]byte(fmt.Sprintf("train-%d", seed))))
 		key := canonicalRankDigest(train, p)
 
+		// min_mi reaches the digest through the decoder: a negative
+		// floor is a 400, 0 (either sign) is the absent floor, and any
+		// other floor is a different request.
+		if !math.IsNaN(minMI) && !math.IsInf(minMI, 0) {
+			body := []byte(`{"train":"fuzz/c","min_mi":` + strconv.FormatFloat(minMI, 'g', -1, 64) + `}`)
+			req, err := DecodeRankRequest(body)
+			if minMI < 0 {
+				if err == nil {
+					t.Fatalf("min_mi %v decoded", minMI)
+				}
+				if status := fuzzPost(t, srv, "/v1/rank", body); status != http.StatusBadRequest {
+					t.Fatalf("min_mi %v answered %d, want 400", minMI, status)
+				}
+			} else {
+				if err != nil {
+					t.Fatalf("min_mi %v rejected: %v", minMI, err)
+				}
+				floored := p
+				floored.minMI = req.MinMI
+				if same := canonicalRankDigest(train, floored) == key; same != (minMI == 0) {
+					t.Fatalf("min_mi %v: digest equal to the absent floor's = %v", minMI, same)
+				}
+			}
+		}
+
 		// Differential 1: respelling every resolved default explicitly
 		// is the same request and must collide with the implicit form.
 		mj2 := p.minJoin
@@ -195,7 +245,7 @@ func FuzzCanonicalization(f *testing.F) {
 
 		// Differential 2: every single-knob change to the resolved
 		// params must change the key (injectivity of the digest).
-		perturbed := []rankParams{p, p, p, p, p, p, p}
+		perturbed := []rankParams{p, p, p, p, p, p, p, p}
 		perturbed[0].prefix += "x"
 		perturbed[1].minJoin++
 		perturbed[2].k++
@@ -207,6 +257,7 @@ func FuzzCanonicalization(f *testing.F) {
 		} else {
 			perturbed[6].margin = -1
 		}
+		perturbed[7].minMI = 0.5
 		for i, q := range perturbed {
 			if canonicalRankDigest(train, q) == key {
 				t.Fatalf("perturbation %d collided: %+v vs %+v", i, p, q)

@@ -312,6 +312,9 @@ type rankParams struct {
 	workers   int
 	noCascade bool
 	margin    float64
+	// minMI is the rank request's result floor (0 when absent); batch
+	// requests have none.
+	minMI float64
 }
 
 // resolveRankParams collapses a decoded rank request's shared knobs to
@@ -352,6 +355,7 @@ func (p rankParams) hashInto(h *digestWriter) {
 	h.int64(int64(p.workers))
 	h.bool(p.noCascade)
 	h.float(p.margin)
+	h.float(p.minMI)
 }
 
 // canonicalRankDigest is the canonical digest of a single rank query:
@@ -476,6 +480,19 @@ func writeCachedResponse(w http.ResponseWriter, etag string, body []byte) {
 	w.Header().Set("ETag", etag)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
+}
+
+// noStore reports whether the request's Cache-Control carries the
+// no-store directive.
+func noStore(h http.Header) bool {
+	for _, v := range h.Values("Cache-Control") {
+		for _, d := range strings.Split(v, ",") {
+			if strings.EqualFold(strings.TrimSpace(d), "no-store") {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // writeNotModified answers an If-None-Match revalidation: 304, no

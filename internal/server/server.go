@@ -365,6 +365,11 @@ type RankRequest struct {
 	// margin at or above the calibrated default; smaller margins trade
 	// that guarantee for more pruning.
 	CascadeMargin float64 `json:"cascade_margin,omitempty"`
+	// MinMI drops results whose MI is below it and lets the cascade
+	// settle such pairs on the cheap tier from the start; 0 keeps every
+	// result. A cluster coordinator sends a certified lower bound on the
+	// global K-th MI here so each shard prunes against it.
+	MinMI float64 `json:"min_mi,omitempty"`
 }
 
 // RankedResult is one row of a RankResponse.
@@ -411,6 +416,12 @@ func DecodeRankRequest(body []byte) (*RankRequest, error) {
 	}
 	if req.MinJoin != nil && *req.MinJoin < -1 {
 		return nil, fmt.Errorf("min_join must be >= -1")
+	}
+	if req.MinMI < 0 || math.IsNaN(req.MinMI) || math.IsInf(req.MinMI, 0) {
+		return nil, fmt.Errorf("min_mi must be finite and >= 0")
+	}
+	if req.MinMI == 0 {
+		req.MinMI = 0 // -0 is the same request as 0 and absent
 	}
 	return &req, nil
 }
@@ -489,6 +500,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 
 	p := resolveRankParams(req.Prefix, req.MinJoin, req.K, req.Top, req.Workers,
 		req.NoCascade, req.CascadeMargin, s.opt.MaxWorkers)
+	p.minMI = req.MinMI
 	canon := canonicalRankDigest(digest, p)
 	key := cacheKey{digest: canon, gen: gen}
 	etag := etagFor(s.epoch, canon, gen)
@@ -524,7 +536,10 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 
 	status, fresh, cacheable := s.computeRank(f.ctx, req, train, digest, p)
-	if status == http.StatusOK {
+	// Cache-Control: no-store asks for the answer without keeping it: a
+	// cluster coordinator holds each shard's answer itself and
+	// revalidates it by ETag, which needs no cached body here.
+	if status == http.StatusOK && !noStore(r.Header) {
 		s.results.add(key, etag, cacheable)
 	}
 	// Waiters receive the cacheable variant: by the time they read it,
@@ -580,6 +595,7 @@ func (s *Server) computeRank(ctx context.Context, req *RankRequest, train *core.
 		ScratchPool:   s.scratch,
 		NoCascade:     req.NoCascade,
 		CascadeMargin: req.CascadeMargin,
+		MinMI:         req.MinMI,
 	})
 	if err != nil {
 		s.rankFailures.Add(1)

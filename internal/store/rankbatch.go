@@ -50,6 +50,19 @@ import (
 // bit-identical to the exact pass.
 const DefaultCascadeMargin = 1.25
 
+// EffectiveCascadeMargin resolves a CascadeMargin option to the margin
+// the cascade applies: zero means DefaultCascadeMargin, negative means
+// none.
+func EffectiveCascadeMargin(m float64) float64 {
+	switch {
+	case m == 0:
+		return DefaultCascadeMargin
+	case m < 0:
+		return 0
+	}
+	return m
+}
+
 // workerMinChunk is the smallest amount of per-worker work worth a
 // goroutine: the default worker count never exceeds
 // ceil(eligible/workerMinChunk).
@@ -118,6 +131,9 @@ type BatchOptions struct {
 	// RankOptions.CascadeMargin (0 means DefaultCascadeMargin, negative
 	// means none).
 	CascadeMargin float64
+	// MinMI drops results whose MI is below it and seeds every train's
+	// cascade bound with it; see RankOptions.MinMI.
+	MinMI float64
 }
 
 // BatchQueryResult is one train's slice of a batch discovery result.
@@ -250,10 +266,12 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	// critical section: the pins keep the mmap'd record bytes (which the
 	// workers' zero-copy sketch views borrow) valid even if a concurrent
 	// compaction retires the segments mid-query.
-	var eligible []Meta
 	var skipped []string
 	segSet := make(map[uint64]struct{})
 	s.mu.Lock()
+	// Sized for the whole manifest: growing by doubling copied every
+	// Meta several times over on large catalogs.
+	eligible := make([]Meta, 0, len(s.manifest))
 	for name, m := range s.manifest {
 		if !strings.HasPrefix(name, opt.Prefix) {
 			continue
@@ -341,15 +359,18 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	// bound on the global K-th exact MI — pruning against it can never
 	// evict a true top-K result (see the phase-2 loop below).
 	cascade := opt.TopK > 0 && !opt.NoCascade
-	margin := opt.CascadeMargin
-	if margin == 0 {
-		margin = DefaultCascadeMargin
-	} else if margin < 0 {
-		margin = 0
-	}
+	margin := EffectiveCascadeMargin(opt.CascadeMargin)
 	var kthBound []atomic.Uint64
 	if cascade {
 		kthBound = make([]atomic.Uint64, len(trains))
+		// A caller-supplied floor is a bound like any other: pairs below
+		// it are dropped from the result anyway, so the cascade may
+		// settle them cheaply from the first task on.
+		if opt.MinMI > 0 {
+			for q := range kthBound {
+				raiseBound(&kthBound[q], opt.MinMI)
+			}
+		}
 	}
 
 	pool := opt.ScratchPool
@@ -516,7 +537,11 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	// a scatter join costs microseconds, caching every phase-1 join
 	// would hold the whole catalog's samples in memory.
 	if cascade && firstErr == nil {
-		var tasks []cascadeTask
+		n := 0
+		for _, ts := range tasksW {
+			n += len(ts)
+		}
+		tasks := make([]cascadeTask, 0, n)
 		for _, ts := range tasksW {
 			tasks = append(tasks, ts...)
 		}
@@ -630,6 +655,10 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 		})
 		if opt.TopK > 0 && len(ranked) > opt.TopK {
 			ranked = ranked[:opt.TopK]
+		}
+		if opt.MinMI > 0 {
+			// MI descending: the rows below the floor are a suffix.
+			ranked = ranked[:sort.Search(len(ranked), func(i int) bool { return ranked[i].MI < opt.MinMI })]
 		}
 		res.Queries[q].Ranked = ranked
 	}

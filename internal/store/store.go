@@ -697,6 +697,15 @@ type RankOptions struct {
 	// so that exact−cheap residuals across the golden and synthetic
 	// corpora stay within it.
 	CascadeMargin float64
+	// MinMI > 0 drops every result whose MI is below it and starts the
+	// cascade's K-th bound at it, so pairs that cannot reach the floor
+	// settle on the cheap tier. The result is exactly the ranking
+	// without MinMI cut at the first row below the floor. A cluster
+	// coordinator sends the K-th best MI of a first round here: that
+	// floor is a certified lower bound on the global K-th MI, so each
+	// shard prunes as if it held the whole catalog. Zero (or negative)
+	// keeps every result.
+	MinMI float64
 }
 
 // RankContext is RankQuery with positional options, kept for callers of
@@ -761,6 +770,7 @@ func (s *Store) RankQuery(ctx context.Context, train *core.Sketch, opt RankOptio
 		NoIndex:       opt.NoIndex,
 		NoCascade:     opt.NoCascade,
 		CascadeMargin: opt.CascadeMargin,
+		MinMI:         opt.MinMI,
 	}, !opt.NoIndex)
 	if err != nil {
 		return nil, nil, err
