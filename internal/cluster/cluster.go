@@ -211,12 +211,16 @@ type Coordinator struct {
 	// two-round rank; tests use it to race a write or a shard failure
 	// against the certificate.
 	betweenRounds func()
+	// gate keeps fresh two-round attempts off traffic on which they
+	// keep failing to certify anything; see twoRoundGate.
+	gate twoRoundGate
 
 	rankRequests       atomic.Int64
 	rankPartial        atomic.Int64
 	rankFailures       atomic.Int64
 	twoRounds          atomic.Int64
 	twoRoundFallbacks  atomic.Int64
+	twoRoundSkipped    atomic.Int64
 	duplicateNamesSeen atomic.Int64
 	batchRequests      atomic.Int64
 	batchPartial       atomic.Int64
@@ -333,12 +337,14 @@ type scatterOpts struct {
 	inm []string
 	// skip[i] leaves shard i out; its result stays the zero value.
 	skip []bool
+	// body[i], when set, is sent to shard i instead of the shared body.
+	body [][]byte
 	// noStore sends Cache-Control: no-store.
 	noStore bool
 }
 
-// scatterWith is scatter with per-shard revalidation, a shard subset
-// and no-store.
+// scatterWith is scatter with per-shard revalidation and bodies, a
+// shard subset and no-store.
 func (c *Coordinator) scatterWith(ctx context.Context, method, pathAndQuery string, body []byte, contentType string, o scatterOpts) []shardResult {
 	out := make([]shardResult, len(c.shards))
 	var wg sync.WaitGroup
@@ -349,11 +355,14 @@ func (c *Coordinator) scatterWith(ctx context.Context, method, pathAndQuery stri
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			tag := ""
+			tag, b := "", body
 			if i < len(o.inm) {
 				tag = o.inm[i]
 			}
-			out[i] = sh.do(ctx, method, pathAndQuery, body, contentType, tag, o.noStore, c.opt)
+			if i < len(o.body) && o.body[i] != nil {
+				b = o.body[i]
+			}
+			out[i] = sh.do(ctx, method, pathAndQuery, b, contentType, tag, o.noStore, c.opt)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -388,9 +397,13 @@ type CoordinatorStats struct {
 	// RankTwoRound counts rank requests answered by the two-round
 	// threshold scatter; RankTwoRoundFallbacks counts those that tried
 	// it and fell back to one round (a lost shard, fewer than top rows,
-	// a duplicated name, or a first-round K-th MI of 0).
+	// a duplicated name, or a first-round K-th MI at or below the
+	// cascade margin). RankTwoRoundSkipped counts eligible requests
+	// sent straight to one round: their last attempt, or the recent
+	// attempts of all traffic, found nothing two rounds could prune.
 	RankTwoRound          int64 `json:"rank_two_round"`
 	RankTwoRoundFallbacks int64 `json:"rank_two_round_fallbacks"`
+	RankTwoRoundSkipped   int64 `json:"rank_two_round_skipped"`
 	// RankDuplicateNames counts names that came back from two shards in
 	// a served rank answer; each is also reported in shard_errors.
 	RankDuplicateNames int64 `json:"rank_duplicate_names"`
@@ -429,6 +442,7 @@ func (c *Coordinator) Stats() StatsResponse {
 			RankFailures:          c.rankFailures.Load(),
 			RankTwoRound:          c.twoRounds.Load(),
 			RankTwoRoundFallbacks: c.twoRoundFallbacks.Load(),
+			RankTwoRoundSkipped:   c.twoRoundSkipped.Load(),
 			RankDuplicateNames:    c.duplicateNamesSeen.Load(),
 			BatchRequests:         c.batchRequests.Load(),
 			BatchPartial:          c.batchPartial.Load(),

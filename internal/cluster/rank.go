@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"misketch/internal/server"
-	"misketch/internal/store"
 )
 
 // Request aliases: a coordinator accepts exactly the single-node
@@ -86,94 +85,29 @@ func (c *Coordinator) prepRank(ctx context.Context, body []byte) (*RankRequest, 
 // many rounds it took.
 func (c *Coordinator) rankScattered(ctx context.Context, req *RankRequest, canon []byte, digest [sha256.Size]byte) (*RankResponse, string, []byte, error) {
 	started := time.Now()
-	if req.Top > 0 && len(c.shards) >= 2 && !req.NoCascade && req.MinMI == 0 {
-		if r := c.rankTwoRound(ctx, req); r != nil {
+	if req.Top <= 0 || len(c.shards) < 2 || req.NoCascade || req.MinMI != 0 {
+		return c.gatherRank(ctx, canon, digest, req.Top, true, nil, nil).finish(c, started)
+	}
+	memo := c.floorFor(digest)
+	var lost []*ShardError
+	if (memo != nil && memo.oneRound) || (memo == nil && !c.gate.allow()) {
+		c.twoRoundSkipped.Add(1)
+	} else {
+		r, l := c.rankTwoRound(ctx, req, digest, memo)
+		if r != nil {
 			c.twoRounds.Add(1)
 			return r.finish(c, started)
 		}
 		c.twoRoundFallbacks.Add(1)
+		lost = l
 	}
-	return c.gatherRank(ctx, canon, digest, req.Top, true, nil).finish(c, started)
-}
-
-// rankTwoRound is the threshold scatter, after TPUT (Cao & Wang, PODC
-// 2004). A shard whose local K-th MI sits below the cascade margin
-// cannot prune on its own and scores every candidate exactly; a bound
-// on the global K-th MI lets it prune as a single node would.
-//
-// Round 1 asks every shard for its top ⌈K/S⌉. The union holds at
-// least K distinct candidates, so its K-th best MI, τ, is a lower bound
-// on the global K-th MI. Round 2 asks for the top K with min_mi τ. If
-// every shard answered and the merge holds at least K rows, those rows
-// are the exact top K: every row a one-round query would have returned
-// above them has MI ≥ τ too, so no shard dropped it. That holds for any
-// τ, so a write between the rounds cannot make the answer wrong, only
-// too short. A short answer, a lost shard, a name on two shards, or a
-// τ no greater than the cascade margin (round 2 could prune nothing a
-// single round does not) returns nil, and the caller falls back to one
-// round, whose degraded semantics are unchanged.
-//
-// A shard whose round-1 answer ends below τ, or holds fewer than ⌈K/S⌉
-// rows, has already returned every row it has at or above τ: its
-// round-2 answer is known and it is not asked again.
-//
-// Round 1 is not cached: its top ⌈K/S⌉ answers are not what any client
-// asks for. Round 2 revalidates and caches exactly like one round; its
-// request digest, τ included, keys the cache and the coordinator ETag,
-// and a shard not asked again enters the ETag with its round-1 tag.
-func (c *Coordinator) rankTwoRound(ctx context.Context, req *RankRequest) *rankRound {
-	k, s := req.Top, len(c.shards)
-	probe := *req
-	probe.Top = (k + s - 1) / s
-	canon, err := json.Marshal(&probe)
-	if err != nil {
-		return nil
+	one := c.gatherRank(ctx, canon, digest, req.Top, true, lost, nil)
+	if memo != nil && memo.oneRound && one.replay == nil {
+		// The answer moved since two rounds last failed to pay off for
+		// this request; let the next repeat try them again.
+		c.results.remove(floorKey(digest))
 	}
-	first := c.gatherRank(ctx, canon, requestDigest("rank", canon), k, false, nil)
-	if !first.complete() || first.rows < k {
-		return nil
-	}
-	tau := first.resp.Ranked[k-1].MI
-	if tau <= store.EffectiveCascadeMargin(req.CascadeMargin) {
-		return nil
-	}
-	if c.betweenRounds != nil {
-		c.betweenRounds()
-	}
-	known := make([]*knownAnswer, s)
-	for i, a := range first.answers {
-		if n := len(a.Ranked); n < probe.Top || a.Ranked[n-1].MI < tau {
-			known[i] = &knownAnswer{resp: atOrAbove(a, tau), etag: first.tags[i]}
-		}
-	}
-	bounded := *req
-	bounded.MinMI = tau
-	if canon, err = json.Marshal(&bounded); err != nil {
-		return nil
-	}
-	second := c.gatherRank(ctx, canon, requestDigest("rank", canon), k, true, known)
-	if !second.complete() || second.rows < k {
-		return nil
-	}
-	if second.replay == nil {
-		// Round 1 compiled the probes; report what it saw.
-		second.resp.ProbeCached = first.resp.ProbeCached
-	}
-	return second
-}
-
-// knownAnswer is a shard's round-2 answer derived from round 1.
-type knownAnswer struct {
-	resp *server.RankResponse
-	etag string // the round-1 ETag, "" if the shard sent none
-}
-
-// atOrAbove is a shard answer cut to its rows with MI ≥ tau.
-func atOrAbove(a *server.RankResponse, tau float64) *server.RankResponse {
-	cut := *a
-	n := sort.Search(len(a.Ranked), func(i int) bool { return a.Ranked[i].MI < tau })
-	cut.Ranked = a.Ranked[:n]
-	return &cut
+	return one.finish(c, started)
 }
 
 // rankRound is one scatter-merge of a rank request.
@@ -185,10 +119,13 @@ type rankRound struct {
 	// replay is the cached merged entry for exactly these shard answers,
 	// when every asked shard revalidated; resp is nil then.
 	replay *ccEntry
-	// answers and tags are per shard; a shard that did not answer has a
-	// nil answer.
+	// answers, tags and lost are per shard. A shard that did not answer
+	// has a nil answer; lost holds its error when it was down or broken
+	// (a transport failure, a 5xx, an undecodable body) rather than
+	// refusing the request.
 	answers  []*server.RankResponse
 	tags     []string
+	lost     []*ShardError
 	answered int
 	// rows counts the merged rows before the top cut.
 	rows       int
@@ -201,29 +138,42 @@ func (r *rankRound) complete() bool {
 	return r.answered == len(r.tags) && r.duplicates == 0
 }
 
+// lostShards returns the per-shard errors of the shards that were down
+// or broken, or nil when there were none.
+func (r *rankRound) lostShards() []*ShardError {
+	for _, se := range r.lost {
+		if se != nil {
+			return r.lost
+		}
+	}
+	return nil
+}
+
 // gatherRank scatters one canonical rank body to the shards and merges
-// the answers. known[i], when set, stands in for shard i's answer and
-// that shard is not asked. With revalidate set it sends each shard the
-// ETag of its cached answer, caches fresh answers, and finds the cached
-// merge when every asked shard revalidated; without it nothing is read
-// from or written to the coordinator cache. Every rank scatter sends
-// no-store: the coordinator keeps each shard's decoded answer itself,
-// and a shard revalidates an ETag without its own cache.
-func (c *Coordinator) gatherRank(ctx context.Context, canon []byte, digest [sha256.Size]byte, top int, revalidate bool, known []*knownAnswer) *rankRound {
+// the answers. With revalidate set it sends each shard the ETag of its
+// cached answer, caches fresh answers, and finds the cached merge when
+// every asked shard revalidated; without it nothing is read from or
+// written to the coordinator cache. A shard with lost[i] set failed
+// earlier in this request:
+// it is not asked again and lost[i] is reported as its error. r1, set
+// for round 2 of a two-round rank, answers for the shards it marks
+// known (see roundOne). When the coordinator has a cache, every rank
+// scatter sends no-store: the coordinator keeps each shard's decoded
+// answer itself, and a shard revalidates an ETag without its own cache.
+func (c *Coordinator) gatherRank(ctx context.Context, canon []byte, digest [sha256.Size]byte, top int, revalidate bool, lost []*ShardError, r1 *roundOne) *rankRound {
 	n := len(c.shards)
-	round := &rankRound{digest: digest, answers: make([]*server.RankResponse, n), tags: make([]string, n)}
-	o := scatterOpts{inm: make([]string, n), skip: make([]bool, n), noStore: true}
+	round := &rankRound{digest: digest, answers: make([]*server.RankResponse, n), tags: make([]string, n), lost: make([]*ShardError, n)}
+	o := scatterOpts{inm: make([]string, n), skip: make([]bool, n), body: make([][]byte, n), noStore: c.results != nil}
 	cached := make([]*ccEntry, n)
 	for i := range c.shards {
-		if i < len(known) && known[i] != nil {
+		switch {
+		case i < len(lost) && lost[i] != nil:
 			o.skip[i] = true
-			round.answers[i] = known[i].resp
-			if known[i].etag != "" {
-				round.tags[i] = "round1:" + known[i].etag
-			}
-			continue
-		}
-		if revalidate && c.results != nil {
+		case r1 != nil && r1.known[i] != nil && r1.fresh:
+			o.skip[i] = true // round 1 has just answered for it
+		case r1 != nil && r1.known[i] != nil:
+			o.body[i], o.inm[i] = r1.canon, r1.known[i].etag
+		case revalidate:
 			if ent := c.results.get(ccKey{shard: i, digest: digest}); ent != nil {
 				cached[i] = ent
 				o.inm[i] = ent.etag
@@ -235,35 +185,58 @@ func (c *Coordinator) gatherRank(ctx context.Context, canon []byte, digest [sha2
 	resp := &RankResponse{RankResponse: server.RankResponse{Ranked: []server.RankedResult{}, ProbeCached: true}}
 	allRevalidated := true
 	for i, r := range results {
+		var sr *server.RankResponse
+		known := r1 != nil && r1.known[i] != nil
 		switch {
-		case o.skip[i]:
+		case i < len(lost) && lost[i] != nil:
+			allRevalidated = false
+			round.lost[i] = lost[i]
+			resp.ShardErrors = append(resp.ShardErrors, *lost[i])
+			continue
+		case known && (o.skip[i] || r.err == nil && r.status == http.StatusNotModified):
+			// Round 1 answered for this shard, just now or, as its 304
+			// vouches, unchanged since.
+			if !o.skip[i] {
+				c.results.shardHits.Add(1)
+			}
+			sr, round.tags[i] = r1.known[i].resp, r1.known[i].etag
+		case known && r.err == nil && r.status == http.StatusOK:
+			// The shard changed since round 1 and may now hold more rows
+			// at or above τ: this round cannot be certified.
+			allRevalidated = false
+			continue
 		case r.err == nil && r.status == http.StatusNotModified && cached[i] != nil:
 			// The shard vouched that its cached answer still holds:
 			// reuse the decoded heap, no body crossed the wire.
 			c.results.shardHits.Add(1)
-			round.tags[i] = cached[i].etag
-			round.answers[i] = cached[i].decoded.(*server.RankResponse)
+			sr, round.tags[i] = cached[i].decoded.(*server.RankResponse), cached[i].etag
 		case r.err == nil && r.status == http.StatusOK:
 			allRevalidated = false
-			var sr server.RankResponse
-			if err := json.Unmarshal(r.body, &sr); err != nil {
-				resp.ShardErrors = append(resp.ShardErrors, ShardError{Shard: r.shard.url, Error: "undecodable response: " + err.Error()})
+			sr = new(server.RankResponse)
+			if err := json.Unmarshal(r.body, sr); err != nil {
+				round.lost[i] = &ShardError{Shard: r.shard.url, Error: "undecodable response: " + err.Error()}
+				resp.ShardErrors = append(resp.ShardErrors, *round.lost[i])
 				continue
 			}
 			round.tags[i] = r.etag
-			if revalidate && c.results != nil && r.etag != "" {
+			if revalidate && r.etag != "" {
 				c.results.add(&ccEntry{
 					key:     ccKey{shard: i, digest: digest},
 					etag:    r.etag,
-					decoded: &sr,
+					decoded: sr,
 					size:    int64(len(r.body)) + ccEntryOverhead,
 				})
 			}
-			round.answers[i] = &sr
 		default:
 			allRevalidated = false
-			resp.ShardErrors = append(resp.ShardErrors, r.shardError())
+			se := r.shardError()
+			if r.err != nil || r.status >= 500 {
+				round.lost[i] = &se
+			}
+			resp.ShardErrors = append(resp.ShardErrors, se)
+			continue
 		}
+		round.answers[i] = sr
 	}
 	dups := c.duplicateNames(round.answers)
 	round.duplicates = len(dups)

@@ -44,15 +44,20 @@ import (
 	"sync/atomic"
 )
 
-// ccKey identifies one cache entry: a per-shard answer (shard >= 0) or
-// the merged coordinator answer (shard == mergedShard) for a request.
+// ccKey identifies one cache entry: a per-shard answer (shard >= 0),
+// the merged coordinator answer (shard == mergedShard), or a rank
+// request's remembered two-round floor (shard == floorShard).
 type ccKey struct {
 	shard  int
 	digest [sha256.Size]byte
 }
 
-// mergedShard is the ccKey.shard sentinel for merged entries.
-const mergedShard = -1
+// mergedShard and floorShard are the ccKey.shard sentinels for merged
+// entries and two-round floors.
+const (
+	mergedShard = -1
+	floorShard  = -2
+)
 
 // ccEntry is one cached answer. Shard entries hold the decoded
 // response (the merge wants structs, not bytes); merged entries hold
@@ -192,6 +197,20 @@ func (c *clusterCache) add(ent *ccEntry) {
 		delete(c.byKey, lent.key)
 		c.used -= lent.size
 		c.evictions.Add(1)
+	}
+}
+
+// remove drops the entry for key, if any.
+func (c *clusterCache) remove(key ccKey) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.byKey[key]; ok {
+		c.ll.Remove(e)
+		delete(c.byKey, key)
+		c.used -= e.Value.(*ccEntry).size
 	}
 }
 

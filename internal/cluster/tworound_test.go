@@ -11,11 +11,14 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -232,6 +235,16 @@ func TestClusterTwoRoundWriteBetweenRounds(t *testing.T) {
 	if st := c.Stats().Coordinator; st.RankTwoRoundFallbacks != 1 || st.RankTwoRound != 0 || st.RankRequests != 1 {
 		t.Fatalf("stats %+v: want one request answered by the fallback", st)
 	}
+	// The remembered τ is stale now: a repeat's round 2 comes back
+	// short, and the query finds a new τ for the new catalog.
+	got, err = c.Rank(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalRanked(t, got.Ranked, tc.singleNodeRank(t, req).Ranked)
+	if st := c.Stats().Coordinator; st.RankRequests != 2 || st.RankTwoRound+st.RankTwoRoundFallbacks != 2 {
+		t.Fatalf("stats %+v: want the repeat to try two rounds again", st)
+	}
 
 	tc = newGradedCluster(t, s, nCand, func(c int) int { return c % s }, func(c int) int { return c })
 	c = tc.coordinator(t, Options{ResultCacheBytes: 1 << 20})
@@ -304,6 +317,118 @@ func TestClusterTwoRoundShardLostBetweenRounds(t *testing.T) {
 	if st.RankRequests != 1 || st.RankPartial != 1 || st.RankFailures != 0 || st.RankTwoRoundFallbacks != 1 {
 		t.Fatalf("stats %+v: want one partial request answered by the fallback", st)
 	}
+	// The fallback reports round 2's error instead of waiting for the
+	// dead shard again.
+	if n := c.Stats().Shards[1].Requests; n != 2 {
+		t.Fatalf("dead shard asked %d times, want 2 (round 1 and round 2)", n)
+	}
+}
+
+// TestClusterTwoRoundShardDownBeforeRound1: a shard that is already
+// down fails round 1, and the one-round fallback reports that failure
+// rather than asking the shard again, so a dead shard costs its retry
+// budget once per query, not twice.
+func TestClusterTwoRoundShardDownBeforeRound1(t *testing.T) {
+	const s, nCand, top = 3, 30, 10
+	tc := newGradedCluster(t, s, nCand, func(c int) int { return c % s }, func(c int) int { return c })
+	c := tc.coordinator(t, Options{Retries: 1, RetryBackoff: time.Millisecond, RequestTimeout: 5 * time.Second})
+	tc.shards[2].Close()
+	all := tc.singleNodeRank(t, tc.rankRequest(t, 0)).Ranked
+	var want []server.RankedResult
+	for _, r := range all {
+		var cand int
+		fmt.Sscanf(r.Name, "corpus/c%d", &cand)
+		if cand%s != 2 && len(want) < top {
+			want = append(want, r)
+		}
+	}
+	got, err := c.Rank(context.Background(), tc.rankRequest(t, top))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Partial || len(got.ShardErrors) != 1 || got.ShardErrors[0].Shard != tc.shards[2].URL {
+		t.Fatalf("want partial with one error for %s, got partial=%v %+v", tc.shards[2].URL, got.Partial, got.ShardErrors)
+	}
+	assertIdenticalRanked(t, got.Ranked, want)
+	sh := c.Stats().Shards[2]
+	if sh.Requests != 1 || sh.Retries != 1 {
+		t.Fatalf("dead shard: %d requests, %d retries; want 1 and 1", sh.Requests, sh.Retries)
+	}
+	if st := c.Stats().Coordinator; st.RankPartial != 1 || st.RankTwoRoundFallbacks != 1 {
+		t.Fatalf("stats %+v: want one partial answer from the fallback", st)
+	}
+}
+
+// TestClusterTwoRoundGate: on traffic whose top-K MI sits below the
+// cascade margin, round 1 cannot certify a useful τ and the fallback
+// redoes its work. After a few such attempts the coordinator stops
+// trying on fresh requests (probing now and then), remembers the
+// outcome for repeated ones, and opens again once two rounds pay.
+func TestClusterTwoRoundGate(t *testing.T) {
+	// Candidates c000–c019 are graded (strong MIs); c020–c039 are noise.
+	tc := newGradedCluster(t, 3, 40, func(c int) int { return c % 3 }, func(c int) int {
+		if c < 20 {
+			return c
+		}
+		return 4*c + 3
+	})
+	low := tc.rankRequest(t, 3)
+	low.Prefix = "corpus/c03"
+	high := tc.rankRequest(t, 3)
+	high.Prefix = "corpus/c00"
+	if mi := tc.singleNodeRank(t, low).Ranked[2].MI; mi > store.DefaultCascadeMargin {
+		t.Fatalf("fixture: low query's 3rd MI %v is above the cascade margin", mi)
+	}
+	rank := func(c *Coordinator, req RankRequest) {
+		t.Helper()
+		got, err := c.Rank(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdenticalRanked(t, got.Ranked, tc.singleNodeRank(t, req).Ranked)
+	}
+
+	// Without a cache nothing is remembered per request: the gate alone
+	// bounds the wasted round 1s.
+	c := tc.coordinator(t, Options{})
+	const n = 40
+	for i := 0; i < n; i++ {
+		rank(c, low)
+	}
+	st := c.Stats().Coordinator
+	if maxTries := int64(gateStreak + n/gateProbeEvery); st.RankTwoRoundFallbacks < gateStreak || st.RankTwoRoundFallbacks > maxTries || st.RankTwoRoundSkipped != n-st.RankTwoRoundFallbacks {
+		t.Fatalf("stats %+v: want %d to %d attempts, the rest skipped", st, gateStreak, maxTries)
+	}
+	t.Logf("low-MI traffic without a cache: %d of %d requests tried two rounds", st.RankTwoRoundFallbacks, n)
+	for i := 0; i < gateProbeEvery; i++ {
+		rank(c, high)
+	}
+	before := c.Stats().Coordinator.RankTwoRound
+	if before == 0 {
+		t.Fatal("the gate never let a paying request try two rounds")
+	}
+	rank(c, high)
+	if c.Stats().Coordinator.RankTwoRound != before+1 {
+		t.Fatal("a paying two-round attempt did not open the gate")
+	}
+
+	// With a cache a repeated low query tries once, then goes straight
+	// to one round; its repeats revalidate with 304s and replay.
+	c = tc.coordinator(t, Options{ResultCacheBytes: 1 << 20})
+	for i := 0; i < 3; i++ {
+		rank(c, low)
+	}
+	st = c.Stats().Coordinator
+	if st.RankTwoRoundFallbacks != 1 || st.RankTwoRoundSkipped != 2 || st.ResultMergedHits != 2 {
+		t.Fatalf("stats %+v: want one attempt, two skipped repeats replayed", st)
+	}
+	// A changed answer retires the memo: the next repeat tries again.
+	tc.putBoth(t, 0, "corpus/c030x", gradedCandidate(t, 2))
+	rank(c, low)
+	rank(c, low)
+	if st := c.Stats().Coordinator; st.RankTwoRoundFallbacks+st.RankTwoRound != 2 {
+		t.Fatalf("stats %+v: want a second attempt after the answer changed", st)
+	}
 }
 
 // TestClusterTwoRoundDuplicateNames: a name stored on two shards is
@@ -351,9 +476,10 @@ func TestClusterTwoRoundDuplicateNames(t *testing.T) {
 
 // TestClusterTwoRoundCacheAndETag: a repeated two-round query replays
 // the cached merge under a stable ETag, a client holding that ETag
-// revalidates for free, and a write to a shard that round 2 did not ask
-// again still moves the ETag, because that shard's round-1 tag is part
-// of it.
+// revalidates for free, and neither does any ranking work on a shard:
+// the coordinator remembers τ, so a repeat is one scatter of 304s. A
+// write to a shard that round 2 did not ask again still moves the ETag,
+// because that shard's round-1 tag is part of it.
 func TestClusterTwoRoundCacheAndETag(t *testing.T) {
 	tc := newGradedCluster(t, 3, 30, func(c int) int { return c % 3 }, func(c int) int { return c })
 	coord := tc.coordinator(t, Options{ResultCacheBytes: 1 << 20})
@@ -370,25 +496,56 @@ func TestClusterTwoRoundCacheAndETag(t *testing.T) {
 	mustUnmarshal(t, first, &rr)
 	assertIdenticalRanked(t, rr.Ranked, tc.singleNodeRank(t, req).Ranked)
 
-	status, etag2, second := postCoord(t, cs.URL, body, "")
-	if status != http.StatusOK || etag2 != etag1 {
-		t.Fatalf("repeat: status %d, ETag %q -> %q", status, etag1, etag2)
+	ranked := func() (n int64) {
+		for _, st := range tc.shardSts {
+			n += st.Stats().RankQueries
+		}
+		return n
 	}
-	if !bytes.Equal(normalizeElapsed(first), normalizeElapsed(second)) {
-		t.Fatalf("replayed answer diverges:\n%s\n%s", first, second)
+	misses := func() (n int64) {
+		for _, ts := range tc.shards {
+			n += shardServerStats(t, ts.URL).ResultMisses
+		}
+		return n
+	}
+	rankedBefore, missesBefore := ranked(), misses()
+	for pass := 0; pass < 2; pass++ {
+		status, etag2, again := postCoord(t, cs.URL, body, "")
+		if status != http.StatusOK || etag2 != etag1 {
+			t.Fatalf("repeat %d: status %d, ETag %q -> %q", pass, status, etag1, etag2)
+		}
+		if !bytes.Equal(normalizeElapsed(first), normalizeElapsed(again)) {
+			t.Fatalf("replayed answer diverges:\n%s\n%s", first, again)
+		}
 	}
 	if status, _, raw := postCoord(t, cs.URL, body, etag1); status != http.StatusNotModified || len(raw) != 0 {
 		t.Fatalf("client revalidation: status %d, body %q", status, raw)
 	}
+	if r, m := ranked()-rankedBefore, misses()-missesBefore; r != 0 || m != 0 {
+		t.Fatalf("repeats ranked %d times and missed %d shard result caches, want 0 and 0", r, m)
+	}
 	st := coord.Stats().Coordinator
-	if st.RankTwoRound != 3 || st.RankTwoRoundFallbacks != 0 || st.ResultMergedHits != 2 {
-		t.Fatalf("stats %+v: want three two-round answers, two of them replayed", st)
+	if st.RankTwoRound != 4 || st.RankTwoRoundFallbacks != 0 || st.ResultMergedHits != 3 || st.ResultShardHits != 9 {
+		t.Fatalf("stats %+v: want four two-round answers, three replayed from nine shard 304s", st)
+	}
+	// Round 1 is not cached: the entries are one round-2 answer per
+	// shard that round 2 asked, the merge and the remembered τ.
+	asked := 0
+	for _, sh := range coord.Stats().Shards {
+		if sh.Requests > 4 {
+			asked++
+		}
+	}
+	if st.ResultEntries != asked+2 {
+		t.Fatalf("%d cache entries, want %d", st.ResultEntries, asked+2)
 	}
 
 	// Shard 0's round-1 answer ends below τ on this corpus, so round 2
-	// does not ask it; a write there must still change the ETag.
-	if sh := coord.Stats().Shards; sh[0].Requests != 3 || sh[1].Requests != 6 {
-		t.Fatalf("shard requests %d and %d, want 3 (round 1 only) and 6", sh[0].Requests, sh[1].Requests)
+	// does not ask it on the first query and revalidates its round-1
+	// answer on repeats: one request per query. A write there must
+	// still change the ETag.
+	if sh := coord.Stats().Shards; sh[0].Requests != 4 || sh[1].Requests != 5 {
+		t.Fatalf("shard requests %d and %d, want 4 (round 1, then one per repeat) and 5", sh[0].Requests, sh[1].Requests)
 	}
 	tc.putBoth(t, 0, "corpus/weak", gradedCandidate(t, 3))
 	status, etag3, third := postCoord(t, cs.URL, body, "")
@@ -397,6 +554,50 @@ func TestClusterTwoRoundCacheAndETag(t *testing.T) {
 	}
 	mustUnmarshal(t, third, &rr)
 	assertIdenticalRanked(t, rr.Ranked, tc.singleNodeRank(t, req).Ranked)
+}
+
+// shardServerStats fetches a shard's /v1/stats server counters.
+func shardServerStats(t testing.TB, url string) server.ServerStats {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sr server.StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	return sr.Server
+}
+
+// TestClusterTwoRoundNoStoreOnlyWithCache: a coordinator that caches
+// shard answers itself asks the shards not to store theirs; one
+// without a cache leaves the shards' caches to serve its repeats.
+func TestClusterTwoRoundNoStoreOnlyWithCache(t *testing.T) {
+	for _, cacheBytes := range []int64{0, 1 << 20} {
+		tc := newGradedCluster(t, 3, 30, func(c int) int { return c % 3 }, func(c int) int { return c })
+		var urls []string
+		for _, st := range tc.shardSts {
+			ts := httptest.NewServer(server.New(st, server.Options{ResultCacheBytes: 1 << 20}))
+			t.Cleanup(ts.Close)
+			urls = append(urls, ts.URL)
+		}
+		c, err := New(urls, Options{ResultCacheBytes: cacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Rank(context.Background(), tc.rankRequest(t, 10)); err != nil {
+			t.Fatal(err)
+		}
+		entries := 0
+		for _, u := range urls {
+			entries += shardServerStats(t, u).ResultEntries
+		}
+		if (cacheBytes == 0) != (entries > 0) {
+			t.Fatalf("coordinator cache %d bytes: shards stored %d answers", cacheBytes, entries)
+		}
+	}
 }
 
 // TestClusterTwoRoundWorkBound is the point of the two rounds: on the
@@ -487,5 +688,54 @@ func TestClusterTwoRoundWorkBound(t *testing.T) {
 	t.Logf("exact-tier runs per query: single node %d, cluster %d", single, cluster)
 	if cluster > 2*single {
 		t.Fatalf("cluster paid %d exact-tier runs, single node %d: over the 2x bound", cluster, single)
+	}
+}
+
+// TestClusterTwoRoundConcurrent is the -race hammer for the state two
+// rounds share across requests: remembered floors in the coordinator
+// cache and the gate. Workers repeat high- and low-MI queries at several
+// top-K bounds through one caching coordinator; every answer must match
+// the union node.
+func TestClusterTwoRoundConcurrent(t *testing.T) {
+	tc := newGradedCluster(t, 3, 40, func(c int) int { return c % 3 }, func(c int) int {
+		if c < 20 {
+			return c
+		}
+		return 4*c + 3
+	})
+	var reqs []RankRequest
+	var wants []server.RankResponse
+	for _, prefix := range []string{"corpus/", "corpus/c03"} {
+		for _, top := range []int{3, 5, 10} {
+			req := tc.rankRequest(t, top)
+			req.Prefix = prefix
+			reqs = append(reqs, req)
+			wants = append(wants, tc.singleNodeRank(t, req))
+		}
+	}
+	c := tc.coordinator(t, Options{ResultCacheBytes: 1 << 20})
+	const workers, iters = 8, 12
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				q := (w + i) % len(reqs)
+				got, err := c.Rank(context.Background(), reqs[q])
+				if err != nil {
+					t.Errorf("worker %d iter %d: %v", w, i, err)
+					return
+				}
+				if !reflect.DeepEqual(got.Ranked, wants[q].Ranked) {
+					t.Errorf("worker %d iter %d: ranking %+v, want %+v", w, i, got.Ranked, wants[q].Ranked)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := c.Stats().Coordinator; st.RankTwoRound == 0 || st.RankTwoRoundSkipped == 0 {
+		t.Fatalf("stats %+v: want both two-round answers and skipped low-MI repeats", st)
 	}
 }
