@@ -238,7 +238,13 @@ func (c *Coordinator) gatherRank(ctx context.Context, canon []byte, digest [sha2
 		}
 		round.answers[i] = sr
 	}
-	dups := c.duplicateNames(round.answers)
+	rows := make([][]server.RankedResult, n)
+	for i, sr := range round.answers {
+		if sr != nil {
+			rows[i] = sr.Ranked
+		}
+	}
+	dups := c.duplicateNames(rows, map[string]bool{})
 	round.duplicates = len(dups)
 	resp.ShardErrors = append(resp.ShardErrors, dups...)
 
@@ -275,28 +281,28 @@ func (c *Coordinator) gatherRank(ctx context.Context, canon []byte, digest [sha2
 	return round
 }
 
-// duplicateNames finds names returned by more than one shard. Shards
-// are meant to hold disjoint catalogs; a name on two of them would be
-// ranked twice, and the two-round certificate counts rows as distinct
-// candidates. Each duplicated name yields one ShardError naming both
-// shards.
-func (c *Coordinator) duplicateNames(answers []*server.RankResponse) []ShardError {
+// duplicateNames finds names returned by more than one shard, given
+// each shard's rows for one query (nil for a shard without an answer).
+// Shards are meant to hold disjoint catalogs; a name on two of them
+// would be ranked twice, and the two-round certificate counts rows as
+// distinct candidates. Each duplicated name yields one ShardError
+// naming both shards. Names already in reported are skipped and each
+// new one is added, so a batch reports a name once however many of its
+// queries rank it.
+func (c *Coordinator) duplicateNames(rows [][]server.RankedResult, reported map[string]bool) []ShardError {
 	owner := map[string]int{}
 	var dups []ShardError
-	for i, sr := range answers {
-		if sr == nil {
-			continue
-		}
-		for _, row := range sr.Ranked {
+	for i, ranked := range rows {
+		for _, row := range ranked {
 			j, seen := owner[row.Name]
 			if !seen {
 				owner[row.Name] = i
 				continue
 			}
-			if j < 0 {
-				continue // already reported
+			if reported[row.Name] {
+				continue
 			}
-			owner[row.Name] = -1
+			reported[row.Name] = true
 			dups = append(dups, ShardError{
 				Shard: c.shards[i].url,
 				Error: fmt.Sprintf("sketch %q is on both %s and %s; shards must hold disjoint catalogs", row.Name, c.shards[j].url, c.shards[i].url),
@@ -421,9 +427,11 @@ func (c *Coordinator) rankBatchScattered(ctx context.Context, req *RankBatchRequ
 	}
 	skipped := map[string]bool{}
 	tags := make([]string, len(results))
+	answers := make([]*server.RankBatchResponse, len(results))
 	answered := 0
 	allRevalidated := true
-	merge := func(sr *server.RankBatchResponse) {
+	merge := func(i int, sr *server.RankBatchResponse) {
+		answers[i] = sr
 		answered++
 		for q := range sr.Queries {
 			merged[q].Ranked = append(merged[q].Ranked, sr.Queries[q].Ranked...)
@@ -442,7 +450,7 @@ func (c *Coordinator) rankBatchScattered(ctx context.Context, req *RankBatchRequ
 		case r.err == nil && r.status == http.StatusNotModified && cached[i] != nil:
 			c.results.shardHits.Add(1)
 			tags[i] = cached[i].etag
-			merge(cached[i].decoded.(*server.RankBatchResponse))
+			merge(i, cached[i].decoded.(*server.RankBatchResponse))
 		case r.err == nil && r.status == http.StatusOK:
 			allRevalidated = false
 			var sr server.RankBatchResponse
@@ -459,7 +467,7 @@ func (c *Coordinator) rankBatchScattered(ctx context.Context, req *RankBatchRequ
 					size:    int64(len(r.body)) + ccEntryOverhead,
 				})
 			}
-			merge(&sr)
+			merge(i, &sr)
 		default:
 			allRevalidated = false
 			resp.ShardErrors = append(resp.ShardErrors, r.shardError())
@@ -475,9 +483,25 @@ func (c *Coordinator) rankBatchScattered(ctx context.Context, req *RankBatchRequ
 	} else {
 		resp.ShardErrors = nil
 	}
+	// Shards are disjoint by contract, not by construction: check every
+	// query's rows, as the single rank does.
+	reported := map[string]bool{}
+	rows := make([][]server.RankedResult, len(answers))
+	for q := range merged {
+		for i, sr := range answers {
+			rows[i] = nil
+			if sr != nil {
+				rows[i] = sr.Queries[q].Ranked
+			}
+		}
+		resp.ShardErrors = append(resp.ShardErrors, c.duplicateNames(rows, reported)...)
+	}
+	if len(reported) > 0 {
+		c.duplicateNamesSeen.Add(int64(len(reported)))
+	}
 
 	etag := ""
-	if !resp.Partial && allTagged(tags) {
+	if !resp.Partial && len(reported) == 0 && allTagged(tags) {
 		etag = coordEtagFor(digest, tags)
 		if allRevalidated && c.results != nil {
 			if ent := c.results.get(ccKey{shard: mergedShard, digest: digest}); ent != nil && ent.etag == etag && sameTags(ent.shardTags, tags) {

@@ -739,3 +739,68 @@ func TestClusterTwoRoundConcurrent(t *testing.T) {
 		t.Fatalf("stats %+v: want both two-round answers and skipped low-MI repeats", st)
 	}
 }
+
+// TestClusterBatchDuplicateNames: the batch merge checks disjointness
+// per query as the single rank does. A name stored on two shards is one
+// shard error naming both (once per request, however many queries rank
+// it), is counted, and keeps the answer untagged and uncached.
+func TestClusterBatchDuplicateNames(t *testing.T) {
+	tc := newGradedCluster(t, 3, 30, func(c int) int { return c % 3 }, func(c int) int { return c })
+	dup := gradedCandidate(t, 0)
+	for _, sh := range []int{0, 1} {
+		if err := tc.shardSts[sh].Put("corpus/dup", dup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coord := tc.coordinator(t, Options{ResultCacheBytes: 1 << 20})
+	cs := httptest.NewServer(coord)
+	defer cs.Close()
+	minJoin := 10
+	sk := sketchBase64(t, tc.train)
+	body := mustMarshal(t, RankBatchRequest{
+		Trains: []server.BatchTrainRef{{Name: "q0", Sketch: sk}, {Name: "q1", Sketch: sk}},
+		Prefix: "corpus/", MinJoin: &minJoin, K: 3, Top: 5,
+	})
+	for pass := 0; pass < 2; pass++ {
+		resp, err := http.Post(cs.URL+"/v1/rank/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var br RankBatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pass %d: status %d", pass, resp.StatusCode)
+		}
+		if etag := resp.Header.Get("ETag"); etag != "" {
+			t.Fatalf("pass %d: batch answer with a duplicated name carried ETag %q", pass, etag)
+		}
+		if br.Partial || len(br.ShardErrors) != 1 {
+			t.Fatalf("pass %d: want one shard error and no partial flag, got %+v", pass, br.ShardErrors)
+		}
+		msg := br.ShardErrors[0].Error
+		if !strings.Contains(msg, "corpus/dup") || !strings.Contains(msg, tc.shards[0].URL) || !strings.Contains(msg, tc.shards[1].URL) {
+			t.Fatalf("pass %d: shard error %q does not name the sketch and both shards", pass, msg)
+		}
+		for q, qr := range br.Queries {
+			n := 0
+			for _, row := range qr.Ranked {
+				if row.Name == "corpus/dup" {
+					n++
+				}
+			}
+			if n != 2 {
+				t.Fatalf("pass %d query %d: duplicated name ranked %d times, want both shards' rows", pass, q, n)
+			}
+		}
+	}
+	st := coord.Stats().Coordinator
+	if st.RankDuplicateNames != 2 {
+		t.Fatalf("rank_duplicate_names = %d, want 2 (one per request)", st.RankDuplicateNames)
+	}
+	if st.ResultMergedHits != 0 {
+		t.Fatalf("merged replays = %d, want 0: a duplicated answer must not be cached", st.ResultMergedHits)
+	}
+}

@@ -73,8 +73,9 @@ func (s *Scratch) CheapMI(x, y Column, bins int) CheapResult {
 	s.cheapXIDs, cardX = cheapIDs(x, bins, s.cheapXIDs, &s.cheapXLevels)
 	s.cheapYIDs, cardY = cheapIDs(y, bins, s.cheapYIDs, &s.cheapYLevels)
 
-	hx := cheapMarginal(&s.cheapXCounts, s.cheapXIDs, cardX, n)
-	hy := cheapMarginal(&s.cheapYCounts, s.cheapYIDs, cardY, n)
+	s.cheapTerms.reset(n)
+	hx := cheapMarginal(&s.cheapXCounts, s.cheapXIDs, cardX, &s.cheapTerms)
+	hy := cheapMarginal(&s.cheapYCounts, s.cheapYIDs, cardY, &s.cheapTerms)
 
 	var hxy float64
 	if cells := int64(cardX) * int64(cardY); cells <= cheapMaxFlatCells {
@@ -153,11 +154,45 @@ func cheapIDs(c Column, bins int, ids []int32, levels *map[string]int32) ([]int3
 	return ids, int32(bins)
 }
 
+// entropyTerms memoizes the entropy term p·ln p, p = c/n, per count
+// value c within one CheapMI call: the marginal and joint sums see the
+// same small counts over and over, and math.Log dominates them. A memo
+// entry holds exactly the product the inline formula computes (the
+// explicit conversion rounds it, so it can never fuse into the
+// caller's subtraction), keeping every sum bit-identical. Zero marks an
+// empty entry: the only zero term is c = n, which is cheap to recompute.
+type entropyTerms struct {
+	fn float64
+	t  []float64
+}
+
+// reset prepares the memo for a call over n samples.
+func (m *entropyTerms) reset(n int) {
+	m.fn = float64(n)
+	if cap(m.t) <= n {
+		m.t = make([]float64, n+1)
+	} else {
+		m.t = m.t[:n+1]
+		clear(m.t)
+	}
+}
+
+// term returns p·ln p for p = c/n, 1 <= c <= n.
+func (m *entropyTerms) term(c int32) float64 {
+	t := m.t[c]
+	if t == 0 {
+		p := float64(c) / m.fn
+		t = float64(p * math.Log(p))
+		m.t[c] = t
+	}
+	return t
+}
+
 // cheapMarginal counts one ID column into the reusable flat array and
 // returns its empirical entropy. The entropy sum runs over the count
 // array in index order, never over map iteration, so it is
 // deterministic.
-func cheapMarginal(counts *[]int32, ids []int32, card int32, n int) float64 {
+func cheapMarginal(counts *[]int32, ids []int32, card int32, terms *entropyTerms) float64 {
 	cs := *counts
 	if cap(cs) < int(card) {
 		cs = make([]int32, card)
@@ -168,14 +203,12 @@ func cheapMarginal(counts *[]int32, ids []int32, card int32, n int) float64 {
 	for _, id := range ids {
 		cs[id]++
 	}
-	fn := float64(n)
 	h := 0.0
 	for _, c := range cs {
 		if c == 0 {
 			continue
 		}
-		p := float64(c) / fn
-		h -= p * math.Log(p)
+		h -= terms.term(c)
 	}
 	*counts = cs
 	return h
@@ -198,11 +231,9 @@ func (s *Scratch) cheapJointFlat(cells, stride int32, n int) float64 {
 		}
 		s.cheapJoint[c]++
 	}
-	fn := float64(n)
 	h := 0.0
 	for _, c := range touched {
-		p := float64(s.cheapJoint[c]) / fn
-		h -= p * math.Log(p)
+		h -= s.cheapTerms.term(s.cheapJoint[c])
 		s.cheapJoint[c] = 0
 	}
 	s.cheapTouched = touched
@@ -231,11 +262,9 @@ func (s *Scratch) cheapJointMap(n int) float64 {
 		}
 		s.jCounts[ji]++
 	}
-	fn := float64(n)
 	h := 0.0
 	for _, c := range s.jCounts {
-		p := float64(c) / fn
-		h -= p * math.Log(p)
+		h -= s.cheapTerms.term(int32(c))
 	}
 	return h
 }

@@ -222,6 +222,101 @@ func TestCheapMIPreservesExactEstimate(t *testing.T) {
 	}
 }
 
+// cheapMIInline is the cheap tier with the entropy terms computed
+// inline, p·ln p per count, exactly as before the per-call memo: the
+// reference TestCheapMIMemoBitIdentical holds CheapMI to.
+func cheapMIInline(x, y Column, bins int) CheapResult {
+	n := x.Len()
+	if n == 0 {
+		return CheapResult{}
+	}
+	var levels map[string]int32
+	xIDs, cardX := cheapIDs(x, bins, nil, &levels)
+	levels = nil
+	yIDs, cardY := cheapIDs(y, bins, nil, &levels)
+	fn := float64(n)
+	entropy := func(counts []int) float64 {
+		h := 0.0
+		for _, c := range counts {
+			if c == 0 {
+				continue
+			}
+			p := float64(c) / fn
+			h -= p * math.Log(p)
+		}
+		return h
+	}
+	cx, cy := make([]int, cardX), make([]int, cardY)
+	// Joint cells in first-appearance order: the order both the flat
+	// table's touched list and the overflow map's count slice sum in.
+	cell := map[int64]int{}
+	var cxy []int
+	for i := 0; i < n; i++ {
+		cx[xIDs[i]]++
+		cy[yIDs[i]]++
+		k := int64(xIDs[i])*int64(cardY) + int64(yIDs[i])
+		j, ok := cell[k]
+		if !ok {
+			j = len(cxy)
+			cell[k] = j
+			cxy = append(cxy, 0)
+		}
+		cxy[j]++
+	}
+	hx, hy := entropy(cx), entropy(cy)
+	return CheapResult{MI: hx + hy - entropy(cxy), Ceil: math.Min(hx, hy)}
+}
+
+// TestCheapMIMemoBitIdentical pins the memoized entropy terms to the
+// inline formula bit for bit, across the column shapes a catalog
+// produces and with one scratch reused across varying sample sizes (a
+// stale memo from a previous call must never leak into the next).
+func TestCheapMIMemoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	nan := math.NaN()
+	num := func(n int, f func(i int) float64) Column {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = f(i)
+		}
+		return NumericColumn(v)
+	}
+	cat := func(n, card int) Column {
+		v := make([]string, n)
+		for i := range v {
+			v[i] = fmt.Sprintf("v%d", rng.Intn(card))
+		}
+		return CategoricalColumn(v)
+	}
+	var s Scratch
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(600)
+		cases := map[string][2]Column{
+			"random":   {num(n, func(int) float64 { return rng.NormFloat64() }), num(n, func(int) float64 { return rng.NormFloat64() })},
+			"tied":     {num(n, func(int) float64 { return float64(rng.Intn(4)) }), num(n, func(int) float64 { return float64(rng.Intn(3)) })},
+			"constant": {num(n, func(int) float64 { return 7 }), num(n, func(int) float64 { return rng.Float64() })},
+			"nan": {num(n, func(int) float64 {
+				if rng.Intn(5) == 0 {
+					return nan
+				}
+				return rng.NormFloat64()
+			}), num(n, func(int) float64 { return rng.ExpFloat64() })},
+			"categorical": {cat(n, 1+rng.Intn(30)), cat(n, 1+rng.Intn(10))},
+			"mixed":       {cat(n, 1+rng.Intn(12)), num(n, func(int) float64 { return rng.NormFloat64() })},
+			"overflow":    {cat(n, 1000), cat(n, 1000)},
+		}
+		for name, c := range cases {
+			for _, bins := range []int{4, DefaultCheapBins, 64} {
+				got := s.CheapMI(c[0], c[1], bins)
+				want := cheapMIInline(c[0], c[1], bins)
+				if math.Float64bits(got.MI) != math.Float64bits(want.MI) || math.Float64bits(got.Ceil) != math.Float64bits(want.Ceil) {
+					t.Fatalf("trial %d %s n=%d bins=%d: CheapMI %+v, inline %+v (must be bit-identical)", trial, name, n, bins, got, want)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkCheapMI(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	n := 256

@@ -76,6 +76,7 @@ type Scratch struct {
 	cheapJoint                 []int32 // all-zero between calls (cleared via cheapTouched)
 	cheapTouched               []int32
 	cheapXLevels, cheapYLevels map[string]int32
+	cheapTerms                 entropyTerms
 }
 
 // MLE returns the plug-in MI estimate for two discrete (categorical)

@@ -870,6 +870,11 @@ type StoreStats struct {
 	RankQueries     int64  `json:"rank_queries"`
 	RankBatches     int64  `json:"rank_batches"`
 	PrunedPairs     int64  `json:"pruned_pairs"`
+	// RankAdmissionBuilds / RankAdmissionReuses split ranking queries
+	// by whether they walked the manifest for a fresh admission
+	// snapshot or reused the cached one.
+	RankAdmissionBuilds int64 `json:"rank_admission_builds"`
+	RankAdmissionReuses int64 `json:"rank_admission_reuses"`
 	// CandidatesSkippedNoDecode counts candidates excluded by the
 	// segment key indexes before any record decode.
 	CandidatesSkippedNoDecode int64 `json:"candidates_skipped_no_decode"`
@@ -911,6 +916,8 @@ func (s *Server) Stats() StatsResponse {
 			Evictions: ss.Evictions, DiskReads: ss.DiskReads,
 			Puts: ss.Puts, Deletes: ss.Deletes, RankQueries: ss.RankQueries,
 			RankBatches: ss.RankBatches, PrunedPairs: ss.PrunedPairs,
+			RankAdmissionBuilds:       ss.RankAdmissionBuilds,
+			RankAdmissionReuses:       ss.RankAdmissionReuses,
 			CandidatesSkippedNoDecode: ss.CandidatesSkippedNoDecode,
 			CascadeCheapOnly:          ss.CascadeCheapOnly,
 			CascadeExact:              ss.CascadeExact,

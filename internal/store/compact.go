@@ -150,6 +150,9 @@ func (s *Store) compact(ctx context.Context, force bool) (CompactStats, error) {
 		return stats, fmt.Errorf("store: compaction abandoned: backend was rebuilt")
 	}
 	fb.install(newSeg)
+	// Records move without a Gen bump; the cached admission snapshot
+	// still points at the sources.
+	s.dropAdmissionLocked("")
 	for name, loc := range newLocs {
 		m, ok := s.manifest[name]
 		if !ok {

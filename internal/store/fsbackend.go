@@ -37,6 +37,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"misketch/internal/core"
 )
@@ -56,6 +57,10 @@ type fsBackend struct {
 	segs    map[uint64]*segment // sealed, live segments
 	active  *segmentWriter      // nil until the first post-open append
 	nextSeq uint64
+	// seals counts runtime seals of the active segment. A seal gives
+	// the segment a key index, so an admission snapshot built at an
+	// older count is stale (appends roll without the store lock).
+	seals atomic.Uint64
 }
 
 func (b *fsBackend) name() string { return BackendFS }
@@ -332,6 +337,7 @@ func (b *fsBackend) rollLocked() error {
 	}
 	b.segs[seg.seq] = seg
 	b.active = nil
+	b.seals.Add(1)
 	return nil
 }
 
@@ -495,7 +501,8 @@ func (b *fsBackend) coveredSnapshot() map[uint64]int64 {
 
 // keyIndexOf returns the parsed key index of a sealed segment, or nil
 // when the segment has none (unsealed, frozen, legacy, or failed
-// validation). The caller must hold a pin on the segment.
+// validation). The caller must hold a pin on the segment, or the store
+// lock, under which no segment is retired.
 func (b *fsBackend) keyIndexOf(seq uint64) *keyIndex {
 	b.segMu.Lock()
 	seg, ok := b.segs[seq]

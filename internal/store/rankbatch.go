@@ -30,7 +30,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -262,32 +261,15 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	res := &BatchResult{Queries: make([]BatchQueryResult, len(trains))}
 	prefilter = prefilter && opt.MinJoinSize >= 0
 
-	// Snapshot the manifest and pin the snapshot's segments in one
+	// Take the admission snapshot (built by a manifest walk only when
+	// the cached one is stale; rankindex.go) and pin its segments in one
 	// critical section: the pins keep the mmap'd record bytes (which the
-	// workers' zero-copy sketch views borrow) valid even if a concurrent
-	// compaction retires the segments mid-query.
-	var skipped []string
-	segSet := make(map[uint64]struct{})
+	// workers' zero-copy sketch views borrow) and the segments' key
+	// indexes valid even if a concurrent compaction retires the
+	// segments mid-query.
 	s.mu.Lock()
-	// Sized for the whole manifest: growing by doubling copied every
-	// Meta several times over on large catalogs.
-	eligible := make([]Meta, 0, len(s.manifest))
-	for name, m := range s.manifest {
-		if !strings.HasPrefix(name, opt.Prefix) {
-			continue
-		}
-		if m.Seed != seed || m.Role != core.RoleCandidate {
-			skipped = append(skipped, name)
-			continue
-		}
-		if m.Entries == 0 && opt.MinJoinSize >= 0 {
-			continue // an empty sketch joins nothing; filter without a read
-		}
-		eligible = append(eligible, m)
-		segSet[m.Segment] = struct{}{}
-	}
-	bk := s.backend
-	release := bk.pin(segSet)
+	adm := s.admissionLocked(admitKey{prefix: opt.Prefix, seed: seed, keepEmpty: opt.MinJoinSize < 0})
+	release := s.backend.pin(adm.pins)
 	s.mu.Unlock()
 	defer release()
 
@@ -303,10 +285,16 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	// Index-driven selection: exclude, without loading them, candidates
 	// whose segment index proves every train's overlap at or below the
 	// cutoff. Each exclusion is a pruned pair for every query (the same
-	// pairs the probe prefilter below would count one load later).
+	// pairs the probe prefilter below would count one load later). The
+	// visit list comes back in name order, which gives the workers'
+	// segment reads locality; results don't depend on this order — the
+	// final (MI, name) sort is a total order, and Skipped is sorted at
+	// merge time.
+	eligible := adm.eligible
+	var certified []bool
 	if prefilter && !opt.NoIndex {
 		var prunedAll int
-		eligible, prunedAll = selectCandidates(bk, eligible, probes, opt.MinJoinSize)
+		eligible, certified, prunedAll = s.selectCandidates(adm, probes, opt.MinJoinSize)
 		if prunedAll > 0 {
 			s.candNoDecode.Add(int64(prunedAll))
 			for q := range res.Queries {
@@ -314,11 +302,11 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 			}
 		}
 	}
-	// Name order gives the workers' segment reads locality. Sorting after
-	// selection keeps the cost proportional to the candidates actually
-	// visited; results don't depend on this order — the final (MI, name)
-	// sort is a total order, and Skipped is sorted at merge time.
-	sort.Slice(eligible, func(i, j int) bool { return eligible[i].Name < eligible[j].Name })
+	// A single train's index-selected candidate already has its key
+	// overlap above the cutoff; phase 1 skips re-probing it.
+	if len(trains) != 1 {
+		certified = nil
+	}
 
 	workers := opt.Workers
 	if workers <= 0 {
@@ -457,7 +445,7 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 			return false
 		}
 		m := eligible[i]
-		cand, err := s.getForRank(m, segSet)
+		cand, err := s.getForRank(m, adm.pins)
 		if err != nil {
 			// The snapshot admitted this candidate; distinguish a
 			// concurrent mutation (the manifest no longer carries the
@@ -482,8 +470,9 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 		// behavior exactly (it fails the query only if a duplicate
 		// actually joins).
 		prune := prefilter && !cand.HasDuplicateKeyHashes()
+		indexed := prune && certified != nil && certified[i]
 		for q := range trains {
-			if prune && probes[q].KeyOverlap(cand) <= opt.MinJoinSize {
+			if prune && !indexed && probes[q].KeyOverlap(cand) <= opt.MinJoinSize {
 				prunedW[w][q]++
 				continue
 			}
@@ -493,6 +482,13 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 				return false
 			}
 			if js.Size <= opt.MinJoinSize {
+				if indexed {
+					// The index certified another version: a cache hit
+					// surfaced a newer compatible overwrite. Its join
+					// size is its key overlap, so count the pair pruned
+					// exactly as the probe would have.
+					prunedW[w][q]++
+				}
 				// The min-join confidence filter would discard the
 				// estimate unseen; skip both tiers.
 				continue
@@ -627,6 +623,9 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	if rescues != 0 {
 		s.cascadeRescues.Add(rescues)
 	}
+	// The snapshot's list is shared with other queries: copy, never
+	// append in place.
+	skipped := append([]string(nil), adm.skipped...)
 	for _, names := range lateSkipped {
 		skipped = append(skipped, names...)
 	}

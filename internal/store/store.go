@@ -73,6 +73,10 @@ type Store struct {
 	// a lock-free read is never newer than the manifest state that
 	// produced it.
 	gen atomic.Uint64
+	// admit caches the last ranking query's admission snapshot
+	// (rankindex.go). Every site that changes what a manifest walk
+	// would admit drops it under mu.
+	admit *admission
 
 	// compactStop ends the auto-compaction loop (nil when disabled).
 	compactStop chan struct{}
@@ -89,6 +93,11 @@ type Store struct {
 	// from ranking without a record decode — the sub-linear selection win.
 	candNoDecode atomic.Int64
 	compactions  atomic.Int64 // completed compaction passes
+	// admitBuilds/admitReuses split ranking queries by whether they
+	// walked the manifest for a fresh admission snapshot or reused the
+	// cached one.
+	admitBuilds atomic.Int64
+	admitReuses atomic.Int64
 	// Cascade tier counters: over cascade-eligible (train, candidate)
 	// pairs, how many were resolved by the cheap binned tier alone, how
 	// many went on to pay the exact KSG-family estimator, and how many of
@@ -103,6 +112,9 @@ type Store struct {
 	// queries draw per-worker scratch from when the caller supplies none,
 	// so consecutive queries on one handle reuse grown-to-size buffers.
 	rankScratch core.ScratchPool
+	// selectPool holds *selectScratch: the per-query index-selection
+	// accumulators, reused across queries.
+	selectPool sync.Pool
 }
 
 // Defaults for OpenOptions zero values.
@@ -276,6 +288,7 @@ func (s *Store) Put(name string, sk *core.Sketch) error {
 			continue
 		}
 		s.manifest[name] = metaOf(name, sk, seg, off, length)
+		s.dropAdmissionLocked(name)
 		if end := off + length; s.covered[seg] < end {
 			s.covered[seg] = end
 		}
@@ -359,6 +372,7 @@ func (s *Store) Delete(name string) error {
 	if _, ok := s.manifest[name]; ok {
 		delete(s.manifest, name)
 		s.dirty = true
+		s.dropAdmissionLocked(name)
 	}
 	if s.backend == b && s.covered[seg] < end {
 		s.covered[seg] = end
@@ -435,6 +449,7 @@ func (s *Store) RebuildManifest() error {
 	old := fb
 	s.backend = newFB
 	s.manifest = metas
+	s.dropAdmissionLocked("")
 	s.covered = newFB.coveredSnapshot()
 	if s.cache != nil {
 		s.cache = newLRUCache(s.cache.max)
@@ -492,6 +507,14 @@ type Stats struct {
 	RankQueries int64
 	// RankBatches counts batch discovery queries (RankBatch calls).
 	RankBatches int64
+	// RankAdmissionBuilds / RankAdmissionReuses split ranking queries
+	// (single and batch) by how they were admitted: by a fresh manifest
+	// walk building a new admission snapshot, or by reusing the cached
+	// one — the case when nothing under the query's prefix, and no
+	// segment seal, changed the catalog since the last query with the
+	// same prefix and seed.
+	RankAdmissionBuilds int64
+	RankAdmissionReuses int64
 	// PrunedPairs counts the (train, candidate) pairs discovery queries
 	// skipped via the key-overlap prefilter — estimator invocations the
 	// coordinated-sample intersection proved unnecessary (whether the
@@ -544,6 +567,9 @@ func (s *Store) Stats() Stats {
 		RankQueries: s.rankQueries.Load(),
 		RankBatches: s.rankBatches.Load(),
 		PrunedPairs: s.prunedPairs.Load(),
+
+		RankAdmissionBuilds: s.admitBuilds.Load(),
+		RankAdmissionReuses: s.admitReuses.Load(),
 
 		CandidatesSkippedNoDecode: s.candNoDecode.Load(),
 		CascadeCheapOnly:          s.cascadeCheap.Load(),
