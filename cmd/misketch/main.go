@@ -510,6 +510,7 @@ func runStoreRank(args []string) {
 		fmt.Printf("prefilter:    %d (target, candidate) pairs pruned\n", ss.PrunedPairs)
 		fmt.Printf("cascade:      %d pairs settled by the cheap tier, %d paid the exact tier, %d margin/guard rescues\n",
 			ss.CascadeCheapOnly, ss.CascadeExact, ss.CascadeMarginRescues)
+		fmt.Printf("join reuse:   %d joins reused the previous candidate's key sample\n", ss.RankJoinReuses)
 		fmt.Printf("cache:        %d hits, %d misses, %d evictions, %d bytes resident\n",
 			ss.CacheHits, ss.CacheMisses, ss.Evictions, ss.CacheBytes)
 		fmt.Printf("disk reads:   %d full sketch decodes\n", ss.DiskReads)

@@ -60,6 +60,17 @@ func (p *TrainProbe) KeyOverlap(cand *Sketch) int {
 	return overlap
 }
 
+// KeyOverlapScratch is KeyOverlap answered from s's join memo when the
+// latest successful JoinScratch on s was of this probe against the same
+// key sample: that join's size is the overlap (a successful join has no
+// joining duplicates). Any other candidate is counted by KeyOverlap.
+func (p *TrainProbe) KeyOverlapScratch(cand *Sketch, s *Scratch) int {
+	if s.sameKeys(p, cand) {
+		return s.memoSize
+	}
+	return p.KeyOverlap(cand)
+}
+
 // HasDuplicateKeyHashes reports whether the sketch stores the same key
 // hash in more than one entry. Candidate sketches produced by Build and
 // StreamBuilder never do (candidate keys are aggregated to uniqueness

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"misketch/internal/mi"
@@ -116,8 +117,36 @@ type Scratch struct {
 	// candFirst heads them and nextJoined links them (both offset by 1).
 	candFirst  []int32
 	nextJoined []int32
+	joinedCand []int32 // per joined index: the candidate entry it pairs with
 	xOrder     []int32 // joined x ordering hint (train value order filtered)
+	xOrderGen  uint64  // MI.JoinGen xOrder was derived at (0 = none)
 	yOrder     []int32 // joined y ordering hint (cand value order filtered)
+
+	// The join memo: the key structure of the last successful full join.
+	// Coordinated sketches over one key domain hold the same key sample
+	// (every candidate keeps the keys with the smallest hashes), so a
+	// query's candidates very often carry byte-equal KeyHashes. For such
+	// a candidate every array above, the train-side join column, and the
+	// key overlap are what the memoized join left behind; only the
+	// candidate's values need gathering. memoProbe is nil when the memo
+	// is empty. memoKeys is an owned copy: a candidate view's KeyHashes
+	// borrow segment bytes that may be unmapped once its query ends.
+	memoProbe   *TrainProbe
+	memoNumeric bool
+	memoKeys    []uint32
+	memoSize    int
+}
+
+// dropJoinMemo empties the join memo.
+func (s *Scratch) dropJoinMemo() {
+	s.memoProbe = nil
+	s.memoKeys = s.memoKeys[:0]
+}
+
+// sameKeys reports whether the memoized join was of probe p against a
+// candidate with cand's key sample.
+func (s *Scratch) sameKeys(p *TrainProbe, cand *Sketch) bool {
+	return s.memoProbe == p && slices.Equal(s.memoKeys, cand.KeyHashes)
 }
 
 // ScratchPool recycles Scratch values across ranking queries. A
@@ -138,10 +167,12 @@ func (sp *ScratchPool) Get() *Scratch {
 	return new(Scratch)
 }
 
-// Put returns a Scratch to the pool. The caller must not use s after
-// Put.
+// Put returns a Scratch to the pool, dropping its join memo so that no
+// probe or key sample outlives the query that used it. The caller must
+// not use s after Put.
 func (sp *ScratchPool) Put(s *Scratch) {
 	if s != nil {
+		s.dropJoinMemo()
 		sp.p.Put(s)
 	}
 }
@@ -154,11 +185,37 @@ func (sp *ScratchPool) Put(s *Scratch) {
 // sketches must share a hash seed. Unlike Join, duplicate candidate key
 // hashes are reported only when they actually join a train entry;
 // duplicates that match nothing cannot affect the sample.
+//
+// When the latest successful join on s was of this probe against a
+// candidate with the same Numeric flag and byte-equal KeyHashes, the
+// join is a gather of cand's values through the memoized
+// joined→candidate-entry map: the train side, the match arrays and the
+// join generation (s.MI.JoinGen) are left as they are.
 func (p *TrainProbe) JoinScratch(cand *Sketch, s *Scratch) (JoinedSample, error) {
 	train := p.train
 	if train.Seed != cand.Seed {
 		return JoinedSample{}, fmt.Errorf("core: sketches built with different seeds (%#x vs %#x)", train.Seed, cand.Seed)
 	}
+	if s.memoNumeric == cand.Numeric && s.sameKeys(p, cand) {
+		if cand.Numeric {
+			xNum := s.MI.JoinXNum[:0]
+			for _, j := range s.joinedCand {
+				xNum = append(xNum, cand.Nums[j])
+			}
+			s.MI.JoinXNum = xNum
+		} else {
+			xStr := s.MI.JoinXStr[:0]
+			for _, j := range s.joinedCand {
+				xStr = append(xStr, cand.Strs[j])
+			}
+			s.MI.JoinXStr = xStr
+		}
+		js := s.joinedSample(train.Numeric, cand.Numeric, s.memoSize)
+		js.Reused = true
+		return js, nil
+	}
+	s.dropJoinMemo()
+	s.MI.JoinGen++
 	if cap(s.candOf) < train.Len() {
 		s.candOf = make([]int32, train.Len())
 	} else {
@@ -213,6 +270,11 @@ func (p *TrainProbe) JoinScratch(cand *Sketch, s *Scratch) (JoinedSample, error)
 	} else {
 		s.nextJoined = s.nextJoined[:matches]
 	}
+	if cap(s.joinedCand) < matches {
+		s.joinedCand = make([]int32, matches)
+	} else {
+		s.joinedCand = s.joinedCand[:matches]
+	}
 
 	yNum, xNum := s.MI.JoinYNum[:0], s.MI.JoinXNum[:0]
 	yStr, xStr := s.MI.JoinYStr[:0], s.MI.JoinXStr[:0]
@@ -235,37 +297,44 @@ func (p *TrainProbe) JoinScratch(cand *Sketch, s *Scratch) (JoinedSample, error)
 		s.matchedTrain[ti] = int32(joined) + 1
 		s.nextJoined[joined] = s.candFirst[j]
 		s.candFirst[j] = int32(joined) + 1
+		s.joinedCand[joined] = int32(j)
 		joined++
 	}
+	s.MI.JoinYNum, s.MI.JoinXNum = yNum, xNum
+	s.MI.JoinYStr, s.MI.JoinXStr = yStr, xStr
 
-	js := JoinedSample{Size: matches}
-	if train.Numeric {
-		if yNum == nil {
-			yNum = []float64{}
+	s.memoProbe, s.memoNumeric, s.memoSize = p, cand.Numeric, matches
+	s.memoKeys = append(s.memoKeys, cand.KeyHashes...)
+	return s.joinedSample(train.Numeric, cand.Numeric, matches), nil
+}
+
+// joinedSample wraps the scratch's joined-pair buffers as the sample of
+// a join of the given value kinds and size.
+func (s *Scratch) joinedSample(trainNumeric, candNumeric bool, size int) JoinedSample {
+	js := JoinedSample{Size: size}
+	if trainNumeric {
+		if s.MI.JoinYNum == nil {
+			s.MI.JoinYNum = []float64{}
 		}
-		s.MI.JoinYNum = yNum
-		js.Y = mi.NumericColumn(yNum)
+		js.Y = mi.NumericColumn(s.MI.JoinYNum)
 	} else {
-		if yStr == nil {
-			yStr = []string{}
+		if s.MI.JoinYStr == nil {
+			s.MI.JoinYStr = []string{}
 		}
-		s.MI.JoinYStr = yStr
-		js.Y = mi.CategoricalColumn(yStr)
+		js.Y = mi.CategoricalColumn(s.MI.JoinYStr)
 	}
-	if cand.Numeric {
-		if xNum == nil {
-			xNum = []float64{}
+	if candNumeric {
+		if s.MI.JoinXNum == nil {
+			s.MI.JoinXNum = []float64{}
 		}
-		s.MI.JoinXNum = xNum
-		js.X = mi.NumericColumn(xNum)
+		js.X = mi.NumericColumn(s.MI.JoinXNum)
 	} else {
-		if xStr == nil {
-			xStr = []string{}
+		if s.MI.JoinXStr == nil {
+			s.MI.JoinXStr = []string{}
 		}
-		s.MI.JoinXStr = xStr
-		js.X = mi.CategoricalColumn(xStr)
+		js.X = mi.CategoricalColumn(s.MI.JoinXStr)
 	}
-	return js, nil
+	return js
 }
 
 // hints derives the estimator's ordering hints for the sample produced
@@ -277,14 +346,18 @@ func (p *TrainProbe) JoinScratch(cand *Sketch, s *Scratch) (JoinedSample, error)
 func (p *TrainProbe) hints(cand *Sketch, s *Scratch) mi.Hints {
 	var h mi.Hints
 	if p.valOrder != nil {
-		xOrder := s.xOrder[:0]
-		for _, ti := range p.valOrder {
-			if joined := s.matchedTrain[ti]; joined != 0 {
-				xOrder = append(xOrder, joined-1)
+		// The train side only changes with a full join: a reused join
+		// keeps the order derived for it.
+		if s.xOrderGen != s.MI.JoinGen {
+			xOrder := s.xOrder[:0]
+			for _, ti := range p.valOrder {
+				if joined := s.matchedTrain[ti]; joined != 0 {
+					xOrder = append(xOrder, joined-1)
+				}
 			}
+			s.xOrder, s.xOrderGen = xOrder, s.MI.JoinGen
 		}
-		s.xOrder = xOrder
-		h.XOrder = xOrder
+		h.XOrder = s.xOrder
 	}
 	if candOrder := cand.NumValOrder(); candOrder != nil {
 		yOrder := s.yOrder[:0]

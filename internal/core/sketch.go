@@ -398,6 +398,9 @@ type JoinedSample struct {
 	Y, X mi.Column
 	// Size is the number of joined pairs (the "sketch join size").
 	Size int
+	// Reused reports that TrainProbe.JoinScratch served the join from
+	// its scratch's join memo, gathering only the candidate's values.
+	Reused bool
 }
 
 // Join matches every train-sketch entry against the candidate sketch's

@@ -58,6 +58,11 @@ type CheapResult struct {
 // flat count arrays. Results are deterministic to the last bit; the
 // scratch's join buffers and exact-estimator state are untouched, so a
 // cheap pass between a scratch join and EstimateHinted is safe.
+//
+// When x is the scratch's train-side join buffer (JoinYNum/JoinYStr),
+// its IDs, cardinality and entropy are kept and reused by later calls
+// at the same JoinGen and bin count: a candidate whose join reused the
+// previous one's key structure pays for its own side only.
 func (s *Scratch) CheapMI(x, y Column, bins int) CheapResult {
 	if x.Len() != y.Len() {
 		panic("mi: CheapMI requires equal-length columns")
@@ -69,12 +74,19 @@ func (s *Scratch) CheapMI(x, y Column, bins int) CheapResult {
 	if n == 0 {
 		return CheapResult{}
 	}
-	var cardX, cardY int32
-	s.cheapXIDs, cardX = cheapIDs(x, bins, s.cheapXIDs, &s.cheapXLevels)
-	s.cheapYIDs, cardY = cheapIDs(y, bins, s.cheapYIDs, &s.cheapYLevels)
-
 	s.cheapTerms.reset(n)
-	hx := cheapMarginal(&s.cheapXCounts, s.cheapXIDs, cardX, &s.cheapTerms)
+	train := s.isJoinTrain(x)
+	if !train || s.cheapXGen == 0 || s.cheapXGen != s.JoinGen || s.cheapXBins != bins {
+		s.cheapXIDs, s.cheapCardX = cheapIDs(x, bins, s.cheapXIDs, &s.cheapXLevels)
+		s.cheapHX = cheapMarginal(&s.cheapXCounts, s.cheapXIDs, s.cheapCardX, &s.cheapTerms)
+		s.cheapXGen, s.cheapXBins = 0, bins
+		if train {
+			s.cheapXGen = s.JoinGen
+		}
+	}
+	cardX, hx := s.cheapCardX, s.cheapHX
+	var cardY int32
+	s.cheapYIDs, cardY = cheapIDs(y, bins, s.cheapYIDs, &s.cheapYLevels)
 	hy := cheapMarginal(&s.cheapYCounts, s.cheapYIDs, cardY, &s.cheapTerms)
 
 	var hxy float64
@@ -88,6 +100,14 @@ func (s *Scratch) CheapMI(x, y Column, bins int) CheapResult {
 	}
 
 	return CheapResult{MI: hx + hy - hxy, Ceil: math.Min(hx, hy)}
+}
+
+// isJoinTrain reports whether c is the train-side join buffer itself.
+func (s *Scratch) isJoinTrain(c Column) bool {
+	if c.IsNumeric() {
+		return len(c.Num) > 0 && len(c.Num) == len(s.JoinYNum) && &c.Num[0] == &s.JoinYNum[0]
+	}
+	return len(c.Str) > 0 && len(c.Str) == len(s.JoinYStr) && &c.Str[0] == &s.JoinYStr[0]
 }
 
 // cheapMaxFlatCells bounds the flat joint table (1 MiB of int32 cells).
@@ -155,19 +175,24 @@ func cheapIDs(c Column, bins int, ids []int32, levels *map[string]int32) ([]int3
 }
 
 // entropyTerms memoizes the entropy term p·ln p, p = c/n, per count
-// value c within one CheapMI call: the marginal and joint sums see the
-// same small counts over and over, and math.Log dominates them. A memo
-// entry holds exactly the product the inline formula computes (the
-// explicit conversion rounds it, so it can never fuse into the
-// caller's subtraction), keeping every sum bit-identical. Zero marks an
-// empty entry: the only zero term is c = n, which is cheap to recompute.
+// value c across CheapMI calls over the same n: the marginal and joint
+// sums see the same small counts over and over, and math.Log dominates
+// them. A memo entry holds exactly the product the inline formula
+// computes (the explicit conversion rounds it, so it can never fuse
+// into the caller's subtraction), keeping every sum bit-identical. Zero
+// marks an empty entry: the only zero term is c = n, which is cheap to
+// recompute.
 type entropyTerms struct {
 	fn float64
 	t  []float64
 }
 
-// reset prepares the memo for a call over n samples.
+// reset prepares the memo for a call over n samples, keeping the terms
+// of the previous call when n is unchanged.
 func (m *entropyTerms) reset(n int) {
+	if m.fn == float64(n) && len(m.t) == n+1 {
+		return
+	}
 	m.fn = float64(n)
 	if cap(m.t) <= n {
 		m.t = make([]float64, n+1)

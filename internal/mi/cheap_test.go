@@ -317,6 +317,54 @@ func TestCheapMIMemoBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCheapMIJoinTrainReuse: with x the scratch's train-side join
+// buffer, CheapMI keeps x's IDs and entropy while JoinGen and the bin
+// count hold, and recomputes them when either changes — scores stay
+// bit-identical to the inline formula throughout. A column that merely
+// equals the buffer is never treated as it.
+func TestCheapMIJoinTrainReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 300
+	var s Scratch
+	for step := 0; step < 200; step++ {
+		numeric := step%40 < 20
+		if step%5 == 0 {
+			// A full join rewrites the train side in place.
+			s.JoinGen++
+			s.JoinYNum, s.JoinYStr = s.JoinYNum[:0], s.JoinYStr[:0]
+			for i := 0; i < n; i++ {
+				s.JoinYNum = append(s.JoinYNum, float64(rng.Intn(9))+rng.Float64())
+				s.JoinYStr = append(s.JoinYStr, fmt.Sprintf("y%d", rng.Intn(7)))
+			}
+		}
+		x := CategoricalColumn(s.JoinYStr)
+		if numeric {
+			x = NumericColumn(s.JoinYNum)
+		}
+		ys := make([]float64, n)
+		for i := range ys {
+			ys[i] = rng.NormFloat64()
+		}
+		y := NumericColumn(ys)
+		bins := DefaultCheapBins
+		if step%7 == 0 {
+			bins = 6
+		}
+		got, want := s.CheapMI(x, y, bins), cheapMIInline(x, y, bins)
+		if math.Float64bits(got.MI) != math.Float64bits(want.MI) || math.Float64bits(got.Ceil) != math.Float64bits(want.Ceil) {
+			t.Fatalf("step %d: CheapMI %+v, inline %+v", step, got, want)
+		}
+		if s.cheapXGen != s.JoinGen {
+			t.Fatalf("step %d: train side not kept for reuse", step)
+		}
+		copied := NumericColumn(append([]float64(nil), s.JoinYNum...))
+		got, want = s.CheapMI(copied, y, bins), cheapMIInline(copied, y, bins)
+		if math.Float64bits(got.MI) != math.Float64bits(want.MI) || s.cheapXGen != 0 {
+			t.Fatalf("step %d: a copy of the train side was treated as the join buffer", step)
+		}
+	}
+}
+
 func BenchmarkCheapMI(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	n := 256

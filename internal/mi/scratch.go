@@ -27,6 +27,11 @@ type Scratch struct {
 	// mutates them; they stay valid until the next scratch join.
 	JoinYNum, JoinXNum []float64
 	JoinYStr, JoinXStr []string
+	// JoinGen numbers the contents of the train-side buffers
+	// (JoinYNum/JoinYStr): whoever rewrites them bumps it, so state
+	// derived from them — the cheap tier's train-side IDs and entropy —
+	// can be reused for as long as it is unchanged.
+	JoinGen uint64
 
 	// KSG-family state: the joint-space neighbor structures (the
 	// ring-expanding uniform grid for sketch-scale samples, the kd-tree
@@ -77,6 +82,13 @@ type Scratch struct {
 	cheapTouched               []int32
 	cheapXLevels, cheapYLevels map[string]int32
 	cheapTerms                 entropyTerms
+	// The x side's cardinality and entropy, valid for cheapXIDs when x
+	// was the train-side join buffer at JoinGen cheapXGen (0 = never)
+	// binned into cheapXBins.
+	cheapXGen  uint64
+	cheapXBins int
+	cheapCardX int32
+	cheapHX    float64
 }
 
 // MLE returns the plug-in MI estimate for two discrete (categorical)

@@ -885,6 +885,9 @@ type StoreStats struct {
 	CascadeCheapOnly     int64 `json:"cascade_cheap_only"`
 	CascadeExact         int64 `json:"cascade_exact"`
 	CascadeMarginRescues int64 `json:"cascade_margin_rescues"`
+	// RankJoinReuses counts ranking joins that reused the previous join
+	// on the same worker (same train, byte-equal candidate key sample).
+	RankJoinReuses int64 `json:"rank_join_reuses"`
 	// Segment compression: FSST-compressed segment count, what their
 	// records occupy on disk, and what the same records would occupy
 	// raw (the achieved ratio is raw_bytes/compressed_bytes).
@@ -922,6 +925,7 @@ func (s *Server) Stats() StatsResponse {
 			CascadeCheapOnly:          ss.CascadeCheapOnly,
 			CascadeExact:              ss.CascadeExact,
 			CascadeMarginRescues:      ss.CascadeMarginRescues,
+			RankJoinReuses:            ss.RankJoinReuses,
 			CompressedSegments:        ss.CompressedSegments,
 			CompressedBytes:           ss.CompressedBytes,
 			RawBytes:                  ss.RawBytes,

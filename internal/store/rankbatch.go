@@ -25,10 +25,12 @@ package store
 // selection cost grows with matching candidates, not catalog size.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -389,6 +391,7 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	prunedW := make([][]int64, workers)
 	lateSkipped := make([][]string, workers)
 	cascadeW := make([][3]int64, workers) // cheap-only, exact, rescues
+	reusesW := make([]int64, workers)     // joins served by the scratch's join memo
 	tasksW := make([][]cascadeTask, workers)
 	for w := 0; w < workers; w++ {
 		topsW[w] = make([]rankHeap, len(trains))
@@ -472,7 +475,7 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 		prune := prefilter && !cand.HasDuplicateKeyHashes()
 		indexed := prune && certified != nil && certified[i]
 		for q := range trains {
-			if prune && !indexed && probes[q].KeyOverlap(cand) <= opt.MinJoinSize {
+			if prune && !indexed && probes[q].KeyOverlapScratch(cand, scratch) <= opt.MinJoinSize {
 				prunedW[w][q]++
 				continue
 			}
@@ -480,6 +483,9 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 			if err != nil {
 				setErr(fmt.Errorf("store: estimating %q: %w", m.Name, err))
 				return false
+			}
+			if js.Reused {
+				reusesW[w]++
 			}
 			if js.Size <= opt.MinJoinSize {
 				if indexed {
@@ -529,9 +535,11 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	// exact MI — at least K candidates scored ≥ L, so a pair with
 	// cheap + margin < L has exact MI < L (margin calibration) and
 	// cannot appear in the final top K no matter how names break ties.
-	// Survivors' joins are recomputed rather than cached across phases:
-	// a scatter join costs microseconds, caching every phase-1 join
-	// would hold the whole catalog's samples in memory.
+	// Survivors are re-joined rather than cached across phases: caching
+	// every phase-1 join would hold the whole catalog's samples in
+	// memory, and a survivor sharing the previous one's key sample (the
+	// common case for coordinated sketches) re-joins as a gather of its
+	// values through the scratch's join memo.
 	if cascade && firstErr == nil {
 		n := 0
 		for _, ts := range tasksW {
@@ -541,20 +549,7 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 		for _, ts := range tasksW {
 			tasks = append(tasks, ts...)
 		}
-		// Deterministic visit order regardless of phase-1 scheduling:
-		// cheap score descending (exempt pairs first), names and train
-		// index breaking ties.
-		sort.Slice(tasks, func(a, b int) bool {
-			pa, pb := tasks[a].prio(), tasks[b].prio()
-			if pa != pb {
-				return pa > pb
-			}
-			na, nb := eligible[tasks[a].ci].Name, eligible[tasks[b].ci].Name
-			if na != nb {
-				return na < nb
-			}
-			return tasks[a].q < tasks[b].q
-		})
+		slices.SortFunc(tasks, compareTasks)
 		chunkB := len(tasks) / (workers * 8)
 		if chunkB < 1 {
 			chunkB = 1
@@ -591,6 +586,9 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 				setErr(fmt.Errorf("store: estimating %q: %w", m.Name, err))
 				return false
 			}
+			if js.Reused {
+				reusesW[w]++
+			}
 			r := probes[t.q].EstimateJoined(cands[t.ci], js, opt.K, scratch)
 			rs := RankedSketch{Name: m.Name, MI: r.MI, Estimator: r.Estimator, JoinSize: r.N}
 			if topsW[w][t.q].offer(rs, opt.TopK) {
@@ -608,11 +606,12 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	var cheapOnly, exact, rescues int64
-	for _, c := range cascadeW {
+	var cheapOnly, exact, rescues, reuses int64
+	for w, c := range cascadeW {
 		cheapOnly += c[0]
 		exact += c[1]
 		rescues += c[2]
+		reuses += reusesW[w]
 	}
 	if cheapOnly != 0 {
 		s.cascadeCheap.Add(cheapOnly)
@@ -622,6 +621,9 @@ func (s *Store) rankTrains(ctx context.Context, trains []*core.Sketch, opt Batch
 	}
 	if rescues != 0 {
 		s.cascadeRescues.Add(rescues)
+	}
+	if reuses != 0 {
+		s.joinReuses.Add(reuses)
 	}
 	// The snapshot's list is shared with other queries: copy, never
 	// append in place.
@@ -683,4 +685,18 @@ func (t cascadeTask) prio() float64 {
 		return math.Inf(1)
 	}
 	return t.cheap
+}
+
+// compareTasks is the phase-2 visit order, deterministic regardless of
+// phase-1 scheduling: priority descending, then candidate name, then
+// train index. Candidates are indexes into the eligible list, which is
+// in name order with unique names, so comparing indexes compares names.
+func compareTasks(a, b cascadeTask) int {
+	if c := cmp.Compare(b.prio(), a.prio()); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.ci, b.ci); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.q, b.q)
 }

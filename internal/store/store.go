@@ -107,6 +107,9 @@ type Store struct {
 	cascadeCheap   atomic.Int64
 	cascadeExact   atomic.Int64
 	cascadeRescues atomic.Int64
+	// joinReuses counts ranking joins served by a worker scratch's join
+	// memo (core.JoinedSample.Reused).
+	joinReuses atomic.Int64
 
 	// rankScratch is the store-owned estimator scratch pool ranking
 	// queries draw per-worker scratch from when the caller supplies none,
@@ -551,6 +554,15 @@ type Stats struct {
 	// evidence the margin has slack; a high one means the cheap tier
 	// misorders that workload and the margin is load-bearing.
 	CascadeMarginRescues int64
+	// RankJoinReuses counts the (train, candidate) joins of ranking
+	// queries that reused the previous join on the same worker — the
+	// same train against a candidate with a byte-equal key sample, as
+	// coordinated sketches over one key domain have — so only the
+	// candidate's values were gathered. A cascaded query joins each
+	// pair once to score it cheaply and again for the exact tier, so
+	// RankJoinReuses / (CascadeCheapOnly + 2·CascadeExact) approximates
+	// the hit rate.
+	RankJoinReuses int64
 }
 
 // Stats returns a snapshot of the handle's counters.
@@ -575,6 +587,7 @@ func (s *Store) Stats() Stats {
 		CascadeCheapOnly:          s.cascadeCheap.Load(),
 		CascadeExact:              s.cascadeExact.Load(),
 		CascadeMarginRescues:      s.cascadeRescues.Load(),
+		RankJoinReuses:            s.joinReuses.Load(),
 	}
 	if s.cache != nil {
 		st.CacheBytes = s.cache.used
